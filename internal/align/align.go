@@ -1,8 +1,9 @@
-// Package align implements local sequence alignment: a textbook affine-gap
-// Smith-Waterman reference and a striped Smith-Waterman in the style of the
-// SSW library the paper incorporates (§V-B), with SIMD lanes emulated by
-// SWAR arithmetic on 64-bit words (8 x 8-bit lanes, rescued to 4 x 16-bit
-// lanes on overflow, exactly SSW's protocol).
+// Package align implements local sequence alignment: a striped
+// Smith-Waterman in the style of the SSW library the paper incorporates
+// (§V-B), with SIMD lanes emulated by SWAR arithmetic on 64-bit words
+// (8 x 8-bit lanes, rescued to 4 x 16-bit lanes on overflow, exactly SSW's
+// protocol) and a traceback over the kernel's recorded H values; plus the
+// textbook affine-gap Smith-Waterman (Score, Local) it is verified against.
 //
 // Sequences are slices of 2-bit base codes (see package dna), not ASCII.
 package align
@@ -128,6 +129,11 @@ func Score(query, target []byte, sc Scoring) int {
 // Local computes the full local alignment with traceback, returning score,
 // end-points and cigar. The highest-scoring cell is chosen; among equals the
 // one with the smallest (TEnd, QEnd) wins, matching the scan order.
+//
+// Local is the reference oracle of the extend path: a textbook scalar DP
+// over full (m+1)x(n+1) H/E/F matrices, allocated per call. Production
+// extension runs Profile.LocalWindow, which must return exactly Local's
+// Result (TestLocalWindowMatchesLocal, FuzzLocalWindow).
 func Local(query, target []byte, sc Scoring) Result {
 	n, m := len(query), len(target)
 	if n == 0 || m == 0 {
@@ -169,13 +175,6 @@ func Local(query, target []byte, sc Scoring) Result {
 	}
 	// Traceback from (bi, bj) until H == 0.
 	var ops []CigarOp
-	pushOp := func(op byte) {
-		if len(ops) > 0 && ops[len(ops)-1].Op == op {
-			ops[len(ops)-1].Len++
-			return
-		}
-		ops = append(ops, CigarOp{Op: op, Len: 1})
-	}
 	i, j := bi, bj
 	state := byte('H')
 	for i > 0 && j > 0 {
@@ -189,7 +188,7 @@ func Local(query, target []byte, sc Scoring) Result {
 			}
 			switch {
 			case h == H[prow+j-1]+int32(sc.score(query[j-1], target[i-1])):
-				pushOp('M')
+				ops = pushOp(ops, 'M')
 				i, j = i-1, j-1
 			case h == E[row+j]:
 				state = 'E'
@@ -200,13 +199,13 @@ func Local(query, target []byte, sc Scoring) Result {
 				i, j = 0, 0
 			}
 		case 'E': // gap in query consuming target ('D')
-			pushOp('D')
+			ops = pushOp(ops, 'D')
 			if E[row+j] == H[prow+j]-go_ {
 				state = 'H'
 			}
 			i--
 		case 'F': // gap in target consuming query ('I')
-			pushOp('I')
+			ops = pushOp(ops, 'I')
 			if F[row+j] == H[row+j-1]-go_ {
 				state = 'H'
 			}

@@ -1,26 +1,37 @@
 package align
 
+import "sync"
+
+// extendProfiles recycles ExtendSeed's striped profiles (and their kernel
+// scratch) across calls and goroutines.
+var extendProfiles = sync.Pool{New: func() any { return new(Profile) }}
+
+// SeedWindow returns the target window [start, end) that ExtendSeed aligns
+// a qLen-base query against: the seed diagonal (query offset qOff at target
+// offset tOff) widened by pad (negative pad counts as 0) on both sides and
+// clamped to the tLen-base target.
+func SeedWindow(qLen, qOff, tOff, tLen, pad int) (start, end int) {
+	pad = max(pad, 0)
+	return max(tOff-qOff-pad, 0), min(tOff+(qLen-qOff)+pad, tLen)
+}
+
 // ExtendSeed performs the seed-and-extend step (Algorithm 1, line 12): the
 // query is locally aligned against a window of the target centered on the
 // seed's diagonal. qOff/tOff locate the matching seed of length k in the
 // query and target respectively; pad widens the window to allow gaps.
-// The returned coordinates are in full-target space.
+// The returned coordinates are in full-target space. The alignment is
+// Local's, computed by the striped kernel with traceback
+// (Profile.LocalWindow) on a pooled profile; safe for concurrent use.
 func ExtendSeed(query, target []byte, qOff, tOff, k int, sc Scoring, pad int) Result {
-	if pad < 0 {
-		pad = 0
-	}
-	start := tOff - qOff - pad
-	if start < 0 {
-		start = 0
-	}
-	end := tOff + (len(query) - qOff) + pad
-	if end > len(target) {
-		end = len(target)
-	}
+	start, end := SeedWindow(len(query), qOff, tOff, len(target), pad)
 	if start >= end {
 		return Result{}
 	}
-	res := Local(query, target[start:end], sc)
+	p := extendProfiles.Get().(*Profile)
+	p.Reset(query, sc)
+	res := p.LocalWindow(target[start:end])
+	p.query = nil // the pool must not keep the caller's query alive
+	extendProfiles.Put(p)
 	res.TStart += start
 	res.TEnd += start
 	return res

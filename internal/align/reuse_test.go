@@ -2,6 +2,7 @@ package align
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -104,11 +105,23 @@ func TestKernel8MatchesGeneric(t *testing.T) {
 		tg := randCodes(rng, 1+rng.Intn(400))
 		p := NewProfile(q, sc)
 		scratch := func() []uint64 { return make([]uint64, p.segLen8) }
-		gs, gt, gov := p.kernel(spec8, p.segLen8, &p.prof8, tg, scratch(), scratch(), scratch())
-		ss, st, sov := p.kernel8(tg, scratch(), scratch(), scratch())
+		gs, gt, gov := p.kernel(spec8, p.segLen8, &p.prof8, tg, scratch(), scratch(), scratch(), nil)
+		ss, st, sov := p.kernel8(tg, scratch(), scratch(), scratch(), nil)
 		if gs != ss || gt != st || gov != sov {
 			t.Fatalf("trial=%d sc=%+v q=%d t=%d: generic (%d,%d,%v) vs kernel8 (%d,%d,%v)",
 				trial, sc, len(q), len(tg), gs, gt, gov, ss, st, sov)
+		}
+		// The recording variant: same result, and bit-identical H records.
+		grec := make([]uint64, len(tg)*p.segLen8)
+		srec := make([]uint64, len(tg)*p.segLen8)
+		rgs, rgt, rgov := p.kernel(spec8, p.segLen8, &p.prof8, tg, scratch(), scratch(), scratch(), grec)
+		rss, rst, rsov := p.kernel8(tg, scratch(), scratch(), scratch(), srec)
+		if rgs != gs || rgt != gt || rgov != gov || rss != ss || rst != st || rsov != sov {
+			t.Fatalf("trial=%d: recording changed the result: generic (%d,%d,%v) kernel8 (%d,%d,%v)",
+				trial, rgs, rgt, rgov, rss, rst, rsov)
+		}
+		if !slices.Equal(grec, srec) {
+			t.Fatalf("trial=%d sc=%+v q=%d t=%d: generic and kernel8 H records differ", trial, sc, len(q), len(tg))
 		}
 	}
 }

@@ -129,8 +129,12 @@ type Profile struct {
 	once16   sync.Once
 	segLen16 int
 	prof16   [4][]uint64
-	// Reusable kernel scratch for AlignWindow (single-owner use only).
+	// Reusable kernel scratch for AlignWindow and LocalWindow (single-owner
+	// use only): the kernel's H/E columns, LocalWindow's per-column H record
+	// and its traceback's cigar ops.
 	h0, h1, ev []uint64
+	rec        []uint64
+	ops        []CigarOp
 }
 
 // NewProfile builds the striped query profile.
@@ -208,13 +212,13 @@ func (p *Profile) Align(target []byte) StripedResult {
 		return StripedResult{}
 	}
 	score, tEnd, overflow := p.kernel8(target,
-		make([]uint64, p.segLen8), make([]uint64, p.segLen8), make([]uint64, p.segLen8))
+		make([]uint64, p.segLen8), make([]uint64, p.segLen8), make([]uint64, p.segLen8), nil)
 	if !overflow {
 		return StripedResult{Score: score, TEnd: tEnd, UsedLanes: 8}
 	}
 	p.once16.Do(p.build16)
 	score, tEnd, _ = p.kernel(spec16, p.segLen16, &p.prof16, target,
-		make([]uint64, p.segLen16), make([]uint64, p.segLen16), make([]uint64, p.segLen16))
+		make([]uint64, p.segLen16), make([]uint64, p.segLen16), make([]uint64, p.segLen16), nil)
 	return StripedResult{Score: score, TEnd: tEnd, Overflow: true, UsedLanes: 16}
 }
 
@@ -228,15 +232,35 @@ func (p *Profile) AlignWindow(target []byte) StripedResult {
 	if len(p.query) == 0 || len(target) == 0 {
 		return StripedResult{}
 	}
+	score, tEnd, H, _ := p.fill(target, false)
+	return StripedResult{Score: score, TEnd: tEnd, Overflow: H.bits == 16, UsedLanes: H.bits}
+}
+
+// fill is the single-owner kernel pass behind AlignWindow and LocalWindow:
+// the 8-bit kernel on profile scratch, rescued by the 16-bit kernel when it
+// saturates. H describes the lane layout of the pass that produced the
+// score and, when record is set, reads that pass's H record (p.rec).
+// overflow reports that even the 16-bit lanes saturated.
+func (p *Profile) fill(target []byte, record bool) (score, tEnd int, H hRecord, overflow bool) {
+	var rec []uint64
 	p.scratch(p.segLen8)
-	score, tEnd, overflow := p.kernel8(target, p.h0, p.h1, p.ev)
-	if !overflow {
-		return StripedResult{Score: score, TEnd: tEnd, UsedLanes: 8}
+	if record {
+		p.rec = grown(p.rec, len(target)*p.segLen8)
+		rec = p.rec
+	}
+	H = hRecord{rec: rec, segLen: p.segLen8, bits: spec8.bits, mask: spec8.max}
+	if score, tEnd, overflow = p.kernel8(target, p.h0, p.h1, p.ev, rec); !overflow {
+		return score, tEnd, H, false
 	}
 	p.once16.Do(p.build16)
 	p.scratch(p.segLen16)
-	score, tEnd, _ = p.kernel(spec16, p.segLen16, &p.prof16, target, p.h0, p.h1, p.ev)
-	return StripedResult{Score: score, TEnd: tEnd, Overflow: true, UsedLanes: 16}
+	if record {
+		p.rec = grown(p.rec, len(target)*p.segLen16)
+		rec = p.rec
+	}
+	H = hRecord{rec: rec, segLen: p.segLen16, bits: spec16.bits, mask: spec16.max}
+	score, tEnd, overflow = p.kernel(spec16, p.segLen16, &p.prof16, target, p.h0, p.h1, p.ev, rec)
+	return score, tEnd, H, overflow
 }
 
 // scratch readies the reusable kernel buffers: segLen words each, zeroed
@@ -252,13 +276,15 @@ func (p *Profile) scratch(segLen int) {
 }
 
 // kernel is Farrar's striped inner loop for one lane spec. hStore, hLoad and
-// e are zeroed scratch of segLen words owned by the caller.
-func (p *Profile) kernel(s laneSpec, segLen int, prof *[4][]uint64, target []byte, hStore, hLoad, e []uint64) (score, tEnd int, overflow bool) {
+// e are zeroed scratch of segLen words owned by the caller. When rec is
+// non-nil (len(target)*segLen words) the kernel records every target
+// column's final H — the exact DP values, in striped order — at
+// rec[i*segLen:], for LocalWindow's traceback.
+func (p *Profile) kernel(s laneSpec, segLen int, prof *[4][]uint64, target []byte, hStore, hLoad, e, rec []uint64) (score, tEnd int, overflow bool) {
 	vBias := s.fill(p.bias)
 	vGapO := s.fill(uint64(p.sc.GapOpen + p.sc.GapExtend))
 	vGapE := s.fill(uint64(p.sc.GapExtend))
 
-	var vMaxAll uint64 // running lane-wise max of H over all columns
 	best := uint64(0)
 	bestT := 0
 
@@ -302,7 +328,9 @@ func (p *Profile) kernel(s laneSpec, segLen int, prof *[4][]uint64, target []byt
 			}
 		}
 
-		vMaxAll = s.maxu(vMaxAll, vColMax)
+		if rec != nil {
+			copy(rec[i*segLen:(i+1)*segLen], hStore)
+		}
 		if cm := s.laneMax(vColMax); cm > best {
 			best = cm
 			bestT = i + 1

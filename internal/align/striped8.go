@@ -59,9 +59,9 @@ func laneMax8(x uint64) uint64 {
 	return best
 }
 
-// kernel8 mirrors kernel(spec8, p.segLen8, &p.prof8, ...) exactly; see that
-// function for the algorithm commentary.
-func (p *Profile) kernel8(target []byte, hStore, hLoad, e []uint64) (score, tEnd int, overflow bool) {
+// kernel8 mirrors kernel(spec8, p.segLen8, &p.prof8, ...) exactly, H
+// recording included; see that function for the algorithm commentary.
+func (p *Profile) kernel8(target []byte, hStore, hLoad, e, rec []uint64) (score, tEnd int, overflow bool) {
 	segLen := p.segLen8
 	bias := p.bias
 	// The lane fills match the generic kernel's s.fill exactly (including
@@ -119,6 +119,9 @@ func (p *Profile) kernel8(target []byte, hStore, hLoad, e []uint64) (score, tEnd
 			}
 		}
 
+		if rec != nil {
+			copy(rec[i*segLen:(i+1)*segLen], hStore)
+		}
 		if cm := laneMax8(vColMax); cm > best {
 			best = cm
 			bestT = i + 1

@@ -202,14 +202,7 @@ func (r *Ref) MapRead(qi int32, q dna.Packed, opt Options, st *MapStats) []Align
 				seen[key] = struct{}{}
 				tc := r.targetCodes(tgt)
 				res := align.ExtendSeed(qc, tc, s, int(off), opt.SeedLen, opt.Scoring, opt.ExtendPad)
-				winLo := int(off) - s - opt.ExtendPad
-				if winLo < 0 {
-					winLo = 0
-				}
-				winHi := int(off) + (L - s) + opt.ExtendPad
-				if winHi > len(tc) {
-					winHi = len(tc)
-				}
+				winLo, winHi := align.SeedWindow(L, s, int(off), len(tc), opt.ExtendPad)
 				atomic.AddInt64(&st.SWCalls, 1)
 				atomic.AddInt64(&st.SWCells, align.Cells(L, winHi-winLo))
 				if res.Score < opt.minScore() {

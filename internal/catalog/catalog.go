@@ -145,6 +145,23 @@ type instance struct {
 	retired atomic.Bool
 }
 
+// tryPin adds one Handle pin unless the count has already reached zero:
+// a zero count means the last pin dropped and the aligner is closing (or
+// closed), and an instance must never be resurrected from there. Every
+// pin a Handle takes goes through this CAS; a plain Add after a retired
+// check would race a concurrent retire's final unref.
+func (i *instance) tryPin() bool {
+	for {
+		n := i.refs.Load()
+		if n <= 0 {
+			return false
+		}
+		if i.refs.CompareAndSwap(n, n+1) {
+			return true
+		}
+	}
+}
+
 // unref drops one pin, closing the aligner on the last one. Aligner.Close
 // is itself drain-aware, so even a mis-sequenced release cannot unmap a
 // table under a running engine call.
@@ -302,15 +319,22 @@ func (c *Catalog) pin(e *entry) (inst, old *instance, err error) {
 		// mapping stays valid on every unix, and a catalog with traffic on
 		// a ref should not fail it because of a transient directory state.
 	}
-	if e.cur == nil {
-		next, oerr := c.open(e)
-		if oerr != nil {
-			return nil, nil, oerr
+	for {
+		if e.cur == nil {
+			next, oerr := c.open(e)
+			if oerr != nil {
+				return nil, nil, oerr
+			}
+			e.cur = next
 		}
-		e.cur = next
+		if e.cur.tryPin() { // the Handle's pin
+			return e.cur, old, nil
+		}
+		// Retired and fully drained since the check above (a concurrent
+		// touch evicted it without e.mu): it is closing, so reopen. A
+		// fresh instance holds the catalog's pin, so this loops once.
+		e.cur = nil
 	}
-	e.cur.refs.Add(1) // the Handle's pin
-	return e.cur, old, nil
 }
 
 // open maps e's snapshot file and returns the new instance holding the

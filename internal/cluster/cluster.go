@@ -545,7 +545,9 @@ func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*cwindow, 
 	start := time.Now()
 	var win *cwindow
 	if len(reads) >= rt.cfg.MaxBatch {
-		rt.coal.enterDirect()
+		if err := rt.coal.enterDirect(); err != nil {
+			return nil, err
+		}
 		g, err := rt.scatter(ctx, reads)
 		finished := time.Now()
 		rt.coal.exitDirect()

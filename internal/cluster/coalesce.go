@@ -127,8 +127,8 @@ func (c *coalescer) queuedReads() int { return c.q.QueuedItems() }
 // isClosed reports whether drain has started.
 func (c *coalescer) isClosed() bool { return c.q.Closed() }
 
-func (c *coalescer) enterDirect() { c.q.EnterDirect() }
-func (c *coalescer) exitDirect()  { c.q.ExitDirect() }
+func (c *coalescer) enterDirect() error { return c.q.EnterDirect() }
+func (c *coalescer) exitDirect()        { c.q.ExitDirect() }
 
 // submit enqueues one request's reads and blocks until its scatter
 // completes or ctx is done.

@@ -141,11 +141,18 @@ func (c *Coalescer[T, R]) Closed() bool {
 // EnterDirect/ExitDirect bracket a call the coalescer did not dispatch (the
 // big-submission direct path): the shared inflight count lets queued small
 // submissions coalesce behind a big direct call, and makes Drain wait for
-// direct calls too.
-func (c *Coalescer[T, R]) EnterDirect() {
+// direct calls too. Like Submit, EnterDirect refuses with ErrDraining once
+// the coalescer is closed — an increment after Drain saw zero in flight
+// would run a call Drain already reported finished. Call ExitDirect only
+// after a nil EnterDirect.
+func (c *Coalescer[T, R]) EnterDirect() error {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return ErrDraining
+	}
 	c.inflight++
-	c.mu.Unlock()
+	return nil
 }
 
 func (c *Coalescer[T, R]) ExitDirect() {

@@ -354,35 +354,30 @@ func (qp *queryProcessor) candidate(th *upc.Thread, st *threadStats, loc dht.Loc
 	tcodes := qp.ft.TargetCodes(frag.Target)
 	qp.acc.FetchTarget(th, frag.Target, qp.ft.TargetPackedBytes(frag.Target), qp.ft.Owner(loc.Frag))
 
-	winLo := seedT - qoffEff - qp.opt.ExtendPad
-	if winLo < 0 {
-		winLo = 0
-	}
-	winHi := seedT + (L - qoffEff) + qp.opt.ExtendPad
-	if winHi > len(tcodes) {
-		winHi = len(tcodes)
-	}
+	winLo, winHi := align.SeedWindow(L, qoffEff, seedT, len(tcodes), qp.opt.ExtendPad)
 	cells := align.Cells(L, winHi-winLo)
 	th.Compute(qp.costs.SWSetupCost + float64(cells)*qp.costs.SWCellCost)
 	th.Counters.SWCells += cells
 	th.Counters.SWCalls++
 	st.swCalls++
 
+	// The built-in extension runs the striped kernel on the query's
+	// per-strand profile, built once per (query, strand) and reused across
+	// every candidate window (the SSW lifecycle). Statistics-only runs take
+	// the score-only pass and derive end-points from it; collecting runs
+	// add the traceback, which returns exactly align.Local's alignment of
+	// the same window (what align.ExtendSeed computes).
 	var res align.Result
-	if st.alignments == nil && qp.opt.Extend == nil {
-		// Statistics-only runs use the striped score kernel (as the real
-		// code does); end-points are derived from the striped result, and
-		// the traceback is skipped entirely. The profile is built once per
-		// (query, strand) and reused across every candidate window.
+	switch {
+	case qp.opt.Extend != nil:
+		res = qp.opt.Extend(qp.queryCodes(rc, L), tcodes, qoffEff, seedT, qp.opt.K, qp.opt.Scoring, qp.opt.ExtendPad)
+	case st.alignments == nil:
 		sr := qp.strandProfile(rc, L).AlignWindow(tcodes[winLo:winHi])
 		res = align.Result{Score: sr.Score, TStart: winLo + sr.TEnd, TEnd: winLo + sr.TEnd}
-	} else {
-		qc := qp.queryCodes(rc, L)
-		extend := qp.opt.Extend
-		if extend == nil {
-			extend = align.ExtendSeed
-		}
-		res = extend(qc, tcodes, qoffEff, seedT, qp.opt.K, qp.opt.Scoring, qp.opt.ExtendPad)
+	default:
+		res = qp.strandProfile(rc, L).LocalWindow(tcodes[winLo:winHi])
+		res.TStart += winLo
+		res.TEnd += winLo
 	}
 
 	if res.Score < qp.opt.minScore() {

@@ -96,7 +96,9 @@ type QueryOptions struct {
 	// Extend replaces the seed-extension engine (§VIII: "the Striped
 	// Smith-Waterman local alignment engine could easily be replaced with
 	// any other local alignment software tool"). nil uses the built-in
-	// striped Smith-Waterman via align.ExtendSeed.
+	// striped Smith-Waterman with traceback on the query's reused
+	// per-strand profile (align.Profile.LocalWindow), whose alignments
+	// equal align.ExtendSeed's and the align.Local reference's.
 	Extend ExtendFunc
 
 	// SeedResolver replaces the local seed-index probe with a remote

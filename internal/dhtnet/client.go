@@ -307,8 +307,10 @@ func (oc *ownerConn) resolve(ctx context.Context, group []kmer.Kmer, out []core.
 		// Direct path: a submission already at batch size gains nothing
 		// from queueing behind the window — call through, bracketed so
 		// queued small submissions coalesce behind it and drains wait.
+		if err := oc.co.EnterDirect(); err != nil {
+			return err
+		}
 		oc.c.direct.Add(1)
-		oc.co.EnterDirect()
 		res, err := oc.lookup(ctx, group)
 		oc.co.ExitDirect()
 		if err != nil {

@@ -72,6 +72,9 @@ func newEngineCall(res *meraligner.Results, targets []meraligner.Seq, release fu
 }
 
 // retain adds one reference (a member window keeping the index pinned).
+// It is only called while the caller still holds its own reference (the
+// dispatcher drops its reference after the demux loop), so the count never
+// rises from zero and a released pin is never resurrected.
 func (c *engineCall) retain() { c.left.Add(1) }
 
 // finish drops one reference, releasing the index pin on the last.
@@ -210,11 +213,17 @@ func (b *batcher) inflightCalls() int {
 // dispatch (the big-request direct path): the shared inflight count keeps
 // window-holding honest — queued small requests coalesce behind a big
 // direct call instead of dispatching into an already-saturated engine —
-// and makes drain wait for direct calls too.
-func (b *batcher) enterDirect() {
+// and makes drain wait for direct calls too. Like submit, it refuses with
+// ErrDraining once drain has begun, so no call starts after drain saw the
+// batcher idle.
+func (b *batcher) enterDirect() error {
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return ErrDraining
+	}
 	b.inflight++
-	b.mu.Unlock()
+	return nil
 }
 
 func (b *batcher) exitDirect() {

@@ -817,7 +817,9 @@ func (t *tenant) alignBatched(ctx context.Context, reads []meraligner.Seq) (*mer
 // the batcher's inflight count, so queued small requests coalesce behind
 // it and drain waits for it.
 func (t *tenant) alignDirect(ctx context.Context, reads []meraligner.Seq) (*engineCall, error) {
-	t.bat.enterDirect()
+	if err := t.bat.enterDirect(); err != nil {
+		return nil, err
+	}
 	defer t.bat.exitDirect()
 	call, err := t.alignBatch(ctx, reads)
 	if err == nil {

@@ -575,6 +575,41 @@ func TestAllMembersGoneCancelsEngineCall(t *testing.T) {
 	close(release)
 }
 
+// TestDirectPathRefusedAfterDrain: drain waits for a direct call bracketed
+// before it began, and once it has begun enterDirect refuses with
+// ErrDraining (as submit does), so no engine call starts after drain saw
+// the batcher idle.
+func TestDirectPathRefusedAfterDrain(t *testing.T) {
+	align := func(ctx context.Context, batch []meraligner.Seq) (*engineCall, error) {
+		return newEngineCall(&meraligner.Results{TotalReads: len(batch)}, nil, nil), nil
+	}
+	b := newBatcher(context.Background(), align, 8, time.Millisecond, 64, nil)
+	if err := b.enterDirect(); err != nil {
+		t.Fatalf("enterDirect before drain: %v", err)
+	}
+	drained := make(chan error, 1)
+	go func() { drained <- b.drain(context.Background()) }()
+	waitUntil(t, "drain to begin", func() bool {
+		if b.enterDirect() != nil {
+			return true
+		}
+		b.exitDirect() // drain not begun yet: undo the probe's entry
+		return false
+	})
+	select {
+	case err := <-drained:
+		t.Fatalf("drain returned (%v) while a direct call was in flight", err)
+	default:
+	}
+	if err := b.enterDirect(); !errors.Is(err, ErrDraining) {
+		t.Fatalf("enterDirect after drain began: %v, want ErrDraining", err)
+	}
+	b.exitDirect()
+	if err := <-drained; err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+}
+
 // ---- drain / health ----
 
 func TestDrainGraceful(t *testing.T) {
