@@ -59,6 +59,7 @@ import (
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
+	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/service"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
@@ -213,7 +214,7 @@ type fleetCatalog struct {
 type Router struct {
 	cfg    Config
 	mux    *http.ServeMux
-	coal   *coalescer
+	coal   *coalesce.Coalescer[meraligner.Seq, *gather]
 	st     *routerStats
 	logger *slog.Logger
 	ring   *telemetry.Ring
@@ -269,7 +270,14 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.sets = append(rt.sets, ss)
 	}
-	rt.coal = newCoalescer(rt.baseCtx, rt.scatter, cfg.MaxBatch, cfg.MaxWait, cfg.QueueReads, rt.st)
+	rt.coal = coalesce.New(rt.baseCtx, coalesce.Config[meraligner.Seq, *gather]{
+		Call:     rt.scatter,
+		MaxBatch: cfg.MaxBatch,
+		MaxWait:  cfg.MaxWait,
+		Capacity: cfg.QueueReads,
+		Stats:    rt.st,
+		Prepare:  scatterCarrier,
+	})
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/align", rt.traced(rt.handleAlign))
@@ -349,7 +357,7 @@ func (rt *Router) Draining() bool { return rt.draining.Load() }
 // ctx's error is returned.
 func (rt *Router) Drain(ctx context.Context) error {
 	rt.draining.Store(true)
-	err := rt.coal.drain(ctx)
+	err := rt.coal.Drain(ctx)
 	rt.cancel()
 	rt.bg.Wait()
 	return err
@@ -359,7 +367,7 @@ func (rt *Router) Drain(ctx context.Context) error {
 func (rt *Router) Close() {
 	rt.draining.Store(true)
 	rt.cancel()
-	rt.coal.closeNow()
+	rt.coal.Close()
 	rt.bg.Wait()
 }
 
@@ -541,26 +549,17 @@ func (rt *Router) scatter(ctx context.Context, reads []meraligner.Seq) (*gather,
 // serve is the request-serving core: big requests scatter directly with the
 // caller's context, small ones ride the coalescer; accounting matches the
 // single node's (requests/reads count served work only).
-func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*cwindow, error) {
+func (rt *Router) serve(ctx context.Context, reads []meraligner.Seq) (*coalesce.Window[*gather], error) {
 	start := time.Now()
-	var win *cwindow
+	var win *coalesce.Window[*gather]
+	var err error
 	if len(reads) >= rt.cfg.MaxBatch {
-		if err := rt.coal.enterDirect(); err != nil {
+		if win, err = rt.coal.Direct(ctx, reads); err != nil {
 			return nil, err
 		}
-		g, err := rt.scatter(ctx, reads)
-		finished := time.Now()
-		rt.coal.exitDirect()
-		if err != nil {
-			return nil, err
-		}
-		rt.st.observeBatch(1, len(reads))
-		win = &cwindow{g: g, lo: 0, hi: len(reads), enq: start, disp: start, done: finished, requests: 1}
-	} else {
-		var err error
-		if win, err = rt.coal.submit(ctx, reads); err != nil {
-			return nil, err
-		}
+		rt.st.ObserveBatch(1, len(reads))
+	} else if win, err = rt.coal.Submit(ctx, reads); err != nil {
+		return nil, err
 	}
 	rt.st.requests.Add(1)
 	rt.st.reads.Add(int64(len(reads)))
@@ -639,9 +638,9 @@ func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
 		rt.routerError(w, r, err)
 		return
 	}
-	win.record(tr)
-	results := win.g.results[win.lo:win.hi]
-	degraded := win.g.degraded
+	record(tr, win)
+	results := win.Result.results[win.Lo:win.Hi]
+	degraded := win.Result.degraded
 	if len(degraded) > 0 {
 		rt.st.degradedServed.Add(1)
 	}
@@ -674,11 +673,11 @@ func degradedComment(degraded []string) string {
 func (rt *Router) routerError(w http.ResponseWriter, r *http.Request, err error) {
 	var se *ShardError
 	switch {
-	case errors.Is(err, errOverloaded):
+	case errors.Is(err, coalesce.ErrOverloaded):
 		rt.st.rejected.Add(1)
 		w.Header().Set("Retry-After", retryAfterSeconds(rt.cfg.RetryAfter))
 		rt.writeError(w, r, http.StatusTooManyRequests, &client.ErrorResponse{Error: "overloaded: admission queue full"})
-	case errors.Is(err, errDraining):
+	case errors.Is(err, coalesce.ErrDraining):
 		rt.writeError(w, r, http.StatusServiceUnavailable, &client.ErrorResponse{Error: "draining"})
 	case errors.As(err, &se):
 		rt.st.failedRequests.Add(1)
@@ -708,7 +707,7 @@ func (rt *Router) Stats() client.RouterStats {
 	st.Version = rt.cfg.Version
 	st.Draining = rt.draining.Load()
 	st.Degraded = rt.cfg.Degraded
-	st.QueueReads = int64(rt.coal.queuedReads())
+	st.QueueReads = int64(rt.coal.QueuedItems())
 	if cat := rt.cat.Load(); cat != nil {
 		st.Ready = true
 		st.K = cat.k

@@ -15,8 +15,8 @@ import (
 // layout, same quantile estimator) so a merrouted dashboard reads like a
 // merserved one.
 
-// routerStats aggregates the router's live counters. It implements the
-// coalescer's stats hooks (observeBatch, observeCanceled).
+// routerStats aggregates the router's live counters. It implements
+// coalesce.Stats for the micro-batcher's observations.
 type routerStats struct {
 	start time.Time
 
@@ -45,7 +45,7 @@ type routerStats struct {
 
 func newRouterStats() *routerStats { return &routerStats{start: time.Now()} }
 
-func (s *routerStats) observeBatch(requests, reads int) {
+func (s *routerStats) ObserveBatch(requests, reads int) {
 	s.batches.Add(1)
 	s.batchedReads.Add(int64(reads))
 	if requests >= 2 {
@@ -59,7 +59,7 @@ func (s *routerStats) observeBatch(requests, reads int) {
 	}
 }
 
-func (s *routerStats) observeCanceled() { s.canceled.Add(1) }
+func (s *routerStats) ObserveCanceled() { s.canceled.Add(1) }
 
 // snapshot renders the wire RouterStats counters (identity, readiness, and
 // the shard list are filled in by the Router).

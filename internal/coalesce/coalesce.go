@@ -1,14 +1,36 @@
-// Package coalesce implements the continuous micro-batching queue shared by
-// every network tier of meraligner: concurrent small submissions glue into
-// shared calls, so a per-call cost — an engine dispatch, an HTTP round-trip
-// per shard, a seed-lookup RPC per owner — is paid once per batching window
-// instead of once per submitter. The scheme is the same one
-// internal/service's batcher pioneered (dispatcher loop, batching window
-// held open behind an in-flight call, bounded admission, group context);
-// this package is its generic extraction, parameterized over the item type
-// and the call result, so the scatter/gather router (internal/cluster,
-// items = reads) and the network-DHT client (internal/dhtnet, items = seed
-// lookups) run literally the same queue.
+// Package coalesce is the one continuous micro-batching queue of meraligner's
+// network tiers: concurrent small submissions glue into shared calls, so a
+// per-call cost is paid once per batching window instead of once per
+// submitter. merserved (internal/service, items = reads, call = one engine
+// dispatch over the resident index), the scatter/gather router
+// (internal/cluster, call = one HTTP round-trip per shard) and the
+// network-DHT client (internal/dhtnet, items = seed lookups, call = one
+// lookup RPC per owner) all run this queue. It is the serving-tier form of
+// the paper's aggregated remote stores: many small operations packed into
+// one message.
+//
+// Batching is continuous, not clocked: when no call is running, the next
+// queued submission dispatches immediately (an idle backend is never held
+// hostage to a timer), and while a call is in flight new arrivals
+// accumulate — the following call takes them all, up to MaxBatch items.
+// Under concurrent load batches grow to the arrival rate with no tuning.
+// The two knobs bound the trade: MaxBatch caps items per call, and MaxWait
+// caps how long a queued submission may wait behind a busy call before an
+// overlapping call is dispatched anyway (so one slow mega-batch cannot
+// stall the queue).
+//
+// Admission control is a bound on queued items: a submission that would
+// push the queue past Capacity is refused at once with ErrOverloaded (the
+// HTTP tiers answer 429 + Retry-After), so latency stays bounded instead of
+// the queue growing without limit under overload.
+//
+// A call runs under a group context that dies with the coalescer's base
+// context or when every member's own context is done: one lone disconnect
+// never kills its batchmates' call. Submissions already at batch size gain
+// nothing from queueing and go through Direct, which shares the in-flight
+// count (queued submissions coalesce behind it, Drain waits for it).
+// Results that pin resources (merserved's catalog index) set
+// Config.Release, which runs once the last member has released its window.
 package coalesce
 
 import (
@@ -51,7 +73,9 @@ type Stats interface {
 
 // Window is one submission's view of a coalesced call: the shared result
 // plus this member's item range within the concatenated batch, and the
-// timings needed to replay the queue wait into a request trace.
+// timings needed to replay the queue wait into a request trace. The holder
+// calls Release after its last use of Result; without Config.Release that
+// is a no-op.
 type Window[R any] struct {
 	Result R
 	Lo, Hi int // this member's items occupy batch positions [Lo, Hi)
@@ -60,6 +84,33 @@ type Window[R any] struct {
 	Disp     time.Time // when its call dispatched
 	Done     time.Time // when the call finished
 	Requests int       // member submissions sharing the call
+
+	ref *shared[R] // nil when the result needs no release
+}
+
+// Release drops this window's hold on the shared result; the last hold
+// dropped runs Config.Release. Releasing a window twice is a no-op.
+func (w *Window[R]) Release() {
+	if r := w.ref; r != nil {
+		w.ref = nil
+		r.drop()
+	}
+}
+
+// shared counts the holds on one successful call's result: the demux holds
+// one while it delivers windows, each delivered window one more. The count
+// only rises while the demux still holds its own, so it never climbs back
+// from zero and release runs exactly once.
+type shared[R any] struct {
+	res     R
+	release func(R)
+	left    atomic.Int32
+}
+
+func (r *shared[R]) drop() {
+	if r.left.Add(-1) == 0 {
+		r.release(r.res)
+	}
 }
 
 // pending is one queued submission.
@@ -82,6 +133,13 @@ type Config[T, R any] struct {
 	Capacity int           // admission bound on queued items
 	Stats    Stats         // optional observation hooks
 	Prepare  Prepare       // optional pre-dispatch context hook
+
+	// Release, when set, runs exactly once per successful call, after the
+	// demux has finished and every delivered window has been released —
+	// the hook for results that pin resources until every member is done
+	// with them. Failed calls never reach it: Call must free whatever it
+	// took before returning an error.
+	Release func(R)
 }
 
 // Coalescer is the continuous micro-batching queue. Create with New; it owns
@@ -89,6 +147,7 @@ type Config[T, R any] struct {
 type Coalescer[T, R any] struct {
 	call     Func[T, R]
 	prepare  Prepare
+	release  func(R)
 	maxBatch int
 	maxWait  time.Duration
 	capacity int // admission bound on queued items
@@ -111,6 +170,7 @@ func New[T, R any](base context.Context, cfg Config[T, R]) *Coalescer[T, R] {
 	c := &Coalescer[T, R]{
 		call:     cfg.Call,
 		prepare:  cfg.Prepare,
+		release:  cfg.Release,
 		maxBatch: cfg.MaxBatch,
 		maxWait:  cfg.MaxWait,
 		capacity: cfg.Capacity,
@@ -138,24 +198,45 @@ func (c *Coalescer[T, R]) Closed() bool {
 	return c.closed
 }
 
-// EnterDirect/ExitDirect bracket a call the coalescer did not dispatch (the
-// big-submission direct path): the shared inflight count lets queued small
-// submissions coalesce behind a big direct call, and makes Drain wait for
-// direct calls too. Like Submit, EnterDirect refuses with ErrDraining once
-// the coalescer is closed — an increment after Drain saw zero in flight
-// would run a call Drain already reported finished. Call ExitDirect only
-// after a nil EnterDirect.
-func (c *Coalescer[T, R]) EnterDirect() error {
+// Direct runs one call over items without queueing — the path for a
+// submission already at batch size, which gains nothing from waiting for
+// batchmates. The call runs under the caller's own ctx with no Prepare, but
+// counts as in flight: queued submissions coalesce behind it, and Drain
+// waits for it. Like Submit, it refuses with ErrDraining once drain has
+// begun, so no call starts after Drain saw the coalescer idle. Stats are
+// not observed; the returned window (Requests 1) takes part in Release.
+func (c *Coalescer[T, R]) Direct(ctx context.Context, items []T) (*Window[R], error) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
-		return ErrDraining
+		c.mu.Unlock()
+		return nil, ErrDraining
 	}
 	c.inflight++
-	return nil
+	c.mu.Unlock()
+	defer c.callDone()
+
+	start := time.Now()
+	res, err := c.call(ctx, items)
+	if err != nil {
+		return nil, err
+	}
+	return &Window[R]{Result: res, Lo: 0, Hi: len(items), Enq: start, Disp: start, Done: time.Now(), Requests: 1, ref: c.share(res)}, nil
 }
 
-func (c *Coalescer[T, R]) ExitDirect() {
+// share starts the hold count on one successful call's result with the
+// caller's own hold, or returns nil when results need no release.
+func (c *Coalescer[T, R]) share(res R) *shared[R] {
+	if c.release == nil {
+		return nil
+	}
+	r := &shared[R]{res: res, release: c.release}
+	r.left.Store(1)
+	return r
+}
+
+// callDone retires one in-flight call: Drain may now find the coalescer
+// idle, and a window held open behind the call may dispatch.
+func (c *Coalescer[T, R]) callDone() {
 	c.mu.Lock()
 	c.inflight--
 	c.cond.Broadcast()
@@ -186,8 +267,18 @@ func (c *Coalescer[T, R]) Submit(ctx context.Context, items []T) (*Window[R], er
 		return p.win, p.err
 	case <-ctx.Done():
 		// The dispatcher observes the dead ctx at take or demux time and
-		// discards this member's share; batchmates are unaffected. No cleanup
-		// needed here — a result holds no pinned resources.
+		// discards this member's share; batchmates are unaffected. The demux
+		// may still have delivered a window — both channels can be ready at
+		// once — so release the orphan once the demux is done with it, or
+		// the result would never be released.
+		if c.release != nil {
+			go func() {
+				<-p.done
+				if p.win != nil {
+					p.win.Release()
+				}
+			}()
+		}
 		return nil, ctx.Err()
 	}
 }
@@ -331,7 +422,8 @@ func (c *Coalescer[T, R]) pop() {
 }
 
 // execute runs one coalesced call and demuxes the shared result to every
-// member by item range.
+// member by item range. A member whose ctx died mid-flight gets its ctx
+// error (its share is discarded); the others are untouched.
 func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 	all := make([]T, 0, items)
 	for _, p := range batch {
@@ -350,7 +442,13 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 	finished := time.Now()
 	cancel()
 	if err == nil && c.st != nil {
+		// Only completed calls count — failed or fully canceled batches
+		// served nothing.
 		c.st.ObserveBatch(len(batch), items)
+	}
+	var ref *shared[R] // the demux's hold, dropped after the loop
+	if err == nil {
+		ref = c.share(res)
 	}
 
 	lo := 0
@@ -366,35 +464,40 @@ func (c *Coalescer[T, R]) execute(batch []*pending[T, R], items int) {
 			}
 		default:
 			p.win = &Window[R]{Result: res, Lo: lo, Hi: hi, Enq: p.enq, Disp: disp, Done: finished, Requests: len(batch)}
+			if ref != nil {
+				ref.left.Add(1)
+				p.win.ref = ref
+			}
 		}
 		close(p.done)
 		lo = hi
 	}
-
-	c.mu.Lock()
-	c.inflight--
-	c.cond.Broadcast()
-	c.mu.Unlock()
-	c.kick()
+	if ref != nil {
+		ref.drop()
+	}
+	c.callDone()
 }
 
 // groupContext derives the call context of one coalesced batch: done when
 // the base context is, or when every member's own context is — a lone
-// disconnect never kills its batchmates' call.
+// disconnect never kills its batchmates' call. One AfterFunc per member
+// counts the departures; the returned cancel unregisters them all.
 func groupContext[T, R any](base context.Context, batch []*pending[T, R]) (context.Context, context.CancelFunc) {
 	ctx, cancel := context.WithCancel(base)
 	var left atomic.Int32
 	left.Store(int32(len(batch)))
-	for _, p := range batch {
-		go func(done <-chan struct{}) {
-			select {
-			case <-done:
-				if left.Add(-1) == 0 {
-					cancel()
-				}
-			case <-ctx.Done():
+	stops := make([]func() bool, len(batch))
+	for i, p := range batch {
+		stops[i] = context.AfterFunc(p.ctx, func() {
+			if left.Add(-1) == 0 {
+				cancel()
 			}
-		}(p.ctx.Done())
+		})
 	}
-	return ctx, cancel
+	return ctx, func() {
+		for _, stop := range stops {
+			stop()
+		}
+		cancel()
+	}
 }

@@ -200,8 +200,9 @@ func New(cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// Close shuts the per-owner queues down. In-flight submissions complete
-// with ErrDraining; the client must not be used after.
+// Close shuts the per-owner queues down: new submissions are refused with
+// coalesce.ErrDraining, while already-queued ones are flushed through final
+// lookup calls. The client must not be used after.
 func (c *Client) Close() {
 	for _, oc := range c.owners {
 		oc.co.Close()
@@ -302,28 +303,24 @@ func (c *Client) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []core
 // resolve answers one owner's share of a resolution. idx maps the group's
 // positions back into out; nil means identity (single-owner fast path).
 func (oc *ownerConn) resolve(ctx context.Context, group []kmer.Kmer, out []core.SeedAnswer, idx []int) error {
-	var answers []LookupAnswer
+	var win *coalesce.Window[[]LookupAnswer]
+	var err error
 	if len(group) >= oc.c.cfg.MaxBatch {
 		// Direct path: a submission already at batch size gains nothing
-		// from queueing behind the window — call through, bracketed so
-		// queued small submissions coalesce behind it and drains wait.
-		if err := oc.co.EnterDirect(); err != nil {
-			return err
+		// from queueing behind the window — call through, counted in flight
+		// so queued small submissions coalesce behind it and drains wait.
+		// Every admitted direct call counts, failed or not.
+		win, err = oc.co.Direct(ctx, group)
+		if !errors.Is(err, coalesce.ErrDraining) {
+			oc.c.direct.Add(1)
 		}
-		oc.c.direct.Add(1)
-		res, err := oc.lookup(ctx, group)
-		oc.co.ExitDirect()
-		if err != nil {
-			return err
-		}
-		answers = res
 	} else {
-		win, err := oc.co.Submit(ctx, group)
-		if err != nil {
-			return err
-		}
-		answers = win.Result[win.Lo:win.Hi]
+		win, err = oc.co.Submit(ctx, group)
 	}
+	if err != nil {
+		return err
+	}
+	answers := win.Result[win.Lo:win.Hi]
 	if idx == nil {
 		for i, a := range answers {
 			out[i] = core.SeedAnswer{Res: a.Res, OK: a.OK}

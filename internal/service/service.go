@@ -16,7 +16,7 @@
 //	                      (JSON, or SAM with Accept: text/x-sam)
 //	POST /v1/align/stream chunked results as they are computed
 //	                      (NDJSON, or SAM with Accept: text/x-sam)
-//	GET  /v1/stats        live counters, batcher observations, latency
+//	GET  /v1/stats        live counters, micro-batcher observations, latency
 //	GET  /healthz         200 while serving, 503 while draining
 //	GET  /metrics         Prometheus text exposition
 //
@@ -30,11 +30,15 @@
 //	                             plus every active reference's stats
 //	GET  /healthz, /metrics      as above; metrics carry a ref label
 //
-// Each reference owns its dynamic micro-batcher (batcher.go): small
-// requests coalesce per reference, requests of MaxBatch reads or more skip
-// the queue and run directly with the request's own context. Responses are
-// byte-identical to a local Align call over the same reads against the
-// same snapshot. Accept-Encoding: gzip is honored on every response body.
+// Each reference owns its dynamic micro-batcher, an internal/coalesce queue
+// whose call is one engine dispatch: small requests coalesce per reference
+// into shared engine calls, so per-call engine overhead (pool spawn, phase
+// accounting, stats merge) is paid once per call and single-read
+// throughput tracks the batch path's. Requests of MaxBatch reads or more
+// skip the queue and run directly with the request's own context.
+// Responses are byte-identical to a local Align call over the same reads
+// against the same snapshot. Accept-Encoding: gzip is honored on every
+// response body.
 package service
 
 import (
@@ -57,6 +61,7 @@ import (
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
 	"github.com/lbl-repro/meraligner/internal/catalog"
+	"github.com/lbl-repro/meraligner/internal/coalesce"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/telemetry"
@@ -205,7 +210,7 @@ type tenant struct {
 	s   *Server
 	ref string // "" in single-index mode
 	src catalog.Source
-	bat *batcher
+	bat *coalesce.Coalescer[meraligner.Seq, *engineCall]
 	st  *serverStats
 
 	inflight atomic.Int64 // align requests being served (quota)
@@ -277,10 +282,17 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newTenant wires one reference's batcher and stats.
+// newTenant wires one reference's micro-batcher and stats.
 func (s *Server) newTenant(ref string, src catalog.Source) *tenant {
 	t := &tenant{s: s, ref: ref, src: src, st: newServerStats()}
-	t.bat = newBatcher(s.baseCtx, t.alignBatch, s.cfg.MaxBatch, s.cfg.MaxWait, s.cfg.QueueReads, t.st)
+	t.bat = coalesce.New(s.baseCtx, coalesce.Config[meraligner.Seq, *engineCall]{
+		Call:     t.alignBatch,
+		MaxBatch: s.cfg.MaxBatch,
+		MaxWait:  s.cfg.MaxWait,
+		Capacity: s.cfg.QueueReads,
+		Stats:    t.st,
+		Release:  func(c *engineCall) { c.release() },
+	})
 	return t
 }
 
@@ -487,7 +499,7 @@ func (s *Server) Drain(ctx context.Context) error {
 		wg.Add(1)
 		go func(t *tenant) {
 			defer wg.Done()
-			errs <- t.bat.drain(ctx)
+			errs <- t.bat.Drain(ctx)
 		}(t)
 	}
 	wg.Wait()
@@ -514,17 +526,63 @@ func (s *Server) Close() {
 	s.draining.Store(true)
 	s.cancel()
 	for _, t := range s.allTenants() {
-		t.bat.closeNow()
+		t.bat.Close()
 	}
 	if s.cat != nil {
 		s.cat.Close()
 	}
 }
 
-// alignBatch is the batcher's engine call: pin the reference's current
-// index, align, and hand the pin to the engineCall — it is released only
-// when every member response (and the dispatcher) has finished with the
-// Results and the mapped target bytes SAM rendering reads.
+// Sentinel errors the handlers translate to HTTP statuses (429 +
+// Retry-After, 503 draining); the micro-batcher's own, so errors.Is matches
+// them whichever layer refused.
+var (
+	ErrOverloaded = coalesce.ErrOverloaded
+	ErrDraining   = coalesce.ErrDraining
+)
+
+// engineCall is the outcome of one coalesced engine call plus the pin that
+// keeps its index alive. SAM rendering dereferences the target sequence
+// bytes, which live in the snapshot mapping — so a catalog-managed index
+// evicted or hot-swapped out mid-response must not unmap until every
+// member request has finished rendering: the micro-batcher's
+// Config.Release drops the pin once the last member window is released.
+// targets is captured from the pinned index at call time, so responses
+// render against the index that actually served them even if the
+// reference was swapped meanwhile; reads is the whole call's batch, which
+// member windows index by their [Lo, Hi) range.
+type engineCall struct {
+	res     *meraligner.Results
+	targets []meraligner.Seq
+	reads   []meraligner.Seq
+	release func() // the catalog Handle's index pin release
+}
+
+// record adds a request's queue-wait and engine spans to tr: the
+// batch_wait span is the coalesce wait (enqueue to dispatch), the engine
+// span the shared call itself, annotated with the call's aggregate read
+// stats. nil traces are no-ops.
+func record(tr *telemetry.Trace, win *coalesce.Window[*engineCall]) {
+	if tr == nil {
+		return
+	}
+	tr.Add("batch_wait", win.Enq, win.Disp.Sub(win.Enq), func(sp *telemetry.Span) {
+		sp.Requests = win.Requests
+		sp.Reads = win.Hi - win.Lo
+	})
+	call := win.Result
+	tr.Add("engine", win.Disp, win.Done.Sub(win.Disp), func(sp *telemetry.Span) {
+		sp.Requests = win.Requests
+		sp.Reads = len(call.reads)
+		sp.SWCalls = call.res.SWCalls
+		sp.SeedLookups = call.res.SeedLookups
+	})
+}
+
+// alignBatch is the micro-batcher's engine call: pin the reference's
+// current index, align, and hand the pin to the engineCall — it is
+// released only when every member response has finished with the Results
+// and the mapped target bytes SAM rendering reads.
 func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engineCall, error) {
 	h, err := t.src.Acquire()
 	if err != nil {
@@ -537,7 +595,7 @@ func (t *tenant) alignBatch(ctx context.Context, reads []meraligner.Seq) (*engin
 		return nil, err
 	}
 	t.st.observePerQuery(res.PerQuery)
-	return newEngineCall(res, al.Targets(), h.Release), nil
+	return &engineCall{res: res, targets: al.Targets(), reads: reads, release: h.Release}, nil
 }
 
 // ---- request parsing ----
@@ -711,8 +769,8 @@ func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
 		t.engineError(w, r, err)
 		return
 	}
-	defer win.finish() // response rendered: the index pin may drop
-	win.record(tr)
+	defer win.Release() // response rendered: the index pin may drop
+	record(tr, win)
 
 	render := time.Now()
 	if wantsSAM(r) {
@@ -730,23 +788,21 @@ func (t *tenant) handleAlign(w http.ResponseWriter, r *http.Request) {
 // coalescing to gain; a disconnect cancels the engine call itself), small
 // requests go through the micro-batcher. Request accounting and latency
 // observation happen here so both faces report identically. The returned
-// window holds a reference on its engine call; the caller must finish() it
-// after rendering.
-func (t *tenant) serve(ctx context.Context, reads []meraligner.Seq) (*window, error) {
+// window holds the index pin of its engine call; the caller must Release
+// it after rendering.
+func (t *tenant) serve(ctx context.Context, reads []meraligner.Seq) (*coalesce.Window[*engineCall], error) {
 	start := time.Now()
-	var win *window
+	var win *coalesce.Window[*engineCall]
+	var err error
 	if len(reads) >= t.s.cfg.MaxBatch {
-		call, err := t.alignDirect(ctx, reads)
-		if err != nil {
+		// Counted as a batch of one request, so stats stay comparable
+		// across paths.
+		if win, err = t.bat.Direct(ctx, reads); err != nil {
 			return nil, err
 		}
-		win = &window{call: call, reads: reads, lo: 0, hi: len(reads),
-			enq: start, disp: start, done: time.Now(), requests: 1}
-	} else {
-		var err error
-		if win, err = t.bat.submit(ctx, reads); err != nil {
-			return nil, err
-		}
+		t.st.ObserveBatch(1, len(reads))
+	} else if win, err = t.bat.Submit(ctx, reads); err != nil {
+		return nil, err
 	}
 	// Counted only on success: requests/reads are served work, not offered
 	// load (rejections are the separate `rejected` counter).
@@ -807,28 +863,12 @@ func (t *tenant) alignBatched(ctx context.Context, reads []meraligner.Seq) (*mer
 	if err != nil {
 		return nil, err
 	}
-	res := win.slice()
-	win.finish()
+	res := win.Result.res.Slice(win.Lo, win.Hi) // heap-only: outlives the pin
+	win.Release()
 	return res, nil
 }
 
-// alignDirect runs one uncoalesced engine call and counts it as a batch of
-// one request (so stats stay comparable across paths). It registers with
-// the batcher's inflight count, so queued small requests coalesce behind
-// it and drain waits for it.
-func (t *tenant) alignDirect(ctx context.Context, reads []meraligner.Seq) (*engineCall, error) {
-	if err := t.bat.enterDirect(); err != nil {
-		return nil, err
-	}
-	defer t.bat.exitDirect()
-	call, err := t.alignBatch(ctx, reads)
-	if err == nil {
-		t.st.observeBatch(1, len(reads))
-	}
-	return call, err
-}
-
-// engineError maps batcher/engine failures onto HTTP statuses.
+// engineError maps micro-batcher/engine failures onto HTTP statuses.
 func (t *tenant) engineError(w http.ResponseWriter, r *http.Request, err error) {
 	s := t.s
 	switch {
@@ -843,7 +883,7 @@ func (t *tenant) engineError(w http.ResponseWriter, r *http.Request, err error) 
 		s.writeError(w, r, http.StatusNotFound, &client.ErrorResponse{Error: err.Error()})
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
 		// Client is gone; nothing useful to write. net/http drops the
-		// connection. (Counted by the batcher when it noticed first.)
+		// connection. (Counted by the micro-batcher when it noticed first.)
 	default:
 		s.writeError(w, r, http.StatusInternalServerError, &client.ErrorResponse{Error: err.Error()})
 	}
@@ -861,10 +901,10 @@ func retryAfterSeconds(d time.Duration) string {
 // wire document is fully self-contained: a scatter/gather router can merge
 // shard responses and render SAM records byte-identical to this node's own
 // without ever seeing the target bases.
-func buildResponse(win *window) *client.AlignResponse {
-	res := win.slice()
-	reads := win.reads[win.lo:win.hi]
-	targets := win.call.targets
+func buildResponse(win *coalesce.Window[*engineCall]) *client.AlignResponse {
+	res := win.Result.res.Slice(win.Lo, win.Hi)
+	reads := win.Result.reads[win.Lo:win.Hi]
+	targets := win.Result.targets
 	out := &client.AlignResponse{Reads: make([]client.ReadResult, len(reads))}
 	for i := range reads {
 		out.Reads[i] = client.ReadResult{Name: reads[i].Name, Status: client.StatusUnmapped}
@@ -899,13 +939,14 @@ func buildResponse(win *window) *client.AlignResponse {
 // writeSAM streams a window's records as a SAM document straight from the
 // shared coalesced Results (SAMStream.WriteRange) — no per-request slicing.
 // The header and the records both come from the engine call's pinned
-// targets, whose mapped sequence bytes stay valid until win.finish().
-func (s *Server) writeSAM(w http.ResponseWriter, r *http.Request, win *window) {
+// targets, whose mapped sequence bytes stay valid until win.Release().
+func (s *Server) writeSAM(w http.ResponseWriter, r *http.Request, win *coalesce.Window[*engineCall]) {
 	w.Header().Set("Content-Type", "text/x-sam")
 	body, finish := s.maybeGzip(w, r)
-	stream, err := meraligner.NewSAMStream(body, win.call.targets)
+	call := win.Result
+	stream, err := meraligner.NewSAMStream(body, call.targets)
 	if err == nil {
-		err = stream.WriteRange(win.call.res, win.reads, win.lo, win.hi)
+		err = stream.WriteRange(call.res, call.reads, win.Lo, win.Hi)
 	}
 	if err == nil {
 		err = stream.Flush()
@@ -975,7 +1016,7 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 	for lo := 0; lo < len(reads); lo += chunkSize {
 		hi := min(lo+chunkSize, len(reads))
 		chunk := reads[lo:hi]
-		win, aerr := t.bat.submit(r.Context(), chunk)
+		win, aerr := t.bat.Submit(r.Context(), chunk)
 		if aerr != nil {
 			if !wrote {
 				// Nothing sent yet: a real status can still go out.
@@ -992,16 +1033,17 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 			panic(http.ErrAbortHandler)
 		}
 		t.st.reads.Add(int64(len(chunk)))
-		win.record(tr)            // per-chunk batch_wait + engine spans (span cap applies)
-		if werr := func() error { // win.finish() per chunk, panic-safe
-			defer win.finish()
+		record(tr, win)           // per-chunk batch_wait + engine spans (span cap applies)
+		if werr := func() error { // win.Release() per chunk, panic-safe
+			defer win.Release()
+			call := win.Result
 			if sam {
 				if stream == nil {
-					streamTargets = win.call.targets
+					streamTargets = call.targets
 					if stream, err = meraligner.NewSAMStream(body, streamTargets); err != nil {
 						return err
 					}
-				} else if !sameTargets(streamTargets, win.call.targets) {
+				} else if !sameTargets(streamTargets, call.targets) {
 					// A hot-swap replaced the reference mid-stream: the SAM
 					// header already written names the old target set, and
 					// this chunk's records index the new one. Mixing them
@@ -1009,7 +1051,7 @@ func (t *tenant) handleAlignStream(w http.ResponseWriter, r *http.Request) {
 					// the client retries against the swapped index.
 					panic(http.ErrAbortHandler)
 				}
-				if err := stream.WriteRange(win.call.res, win.reads, win.lo, win.hi); err != nil {
+				if err := stream.WriteRange(call.res, call.reads, win.Lo, win.Hi); err != nil {
 					return err
 				}
 				return stream.Flush()
@@ -1180,7 +1222,7 @@ func (t *tenant) snapshotStats() client.Stats {
 	st.Ref = t.ref
 	st.Version = s.cfg.Version
 	st.Draining = s.draining.Load()
-	st.QueueReads = int64(t.bat.queuedReads())
+	st.QueueReads = int64(t.bat.QueuedItems())
 	st.K = int(t.k.Load())
 	st.DistinctSeeds = t.distinctSeeds.Load()
 	st.TotalLocs = t.totalLocs.Load()

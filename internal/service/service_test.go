@@ -12,11 +12,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	meraligner "github.com/lbl-repro/meraligner"
 	"github.com/lbl-repro/meraligner/client"
+	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/genome"
 )
 
@@ -356,7 +358,7 @@ func TestEngineReportsTypedTooShortStatus(t *testing.T) {
 func TestAdmissionQueueFull429(t *testing.T) {
 	_, reads := fixture(t)
 	big := len(reads) / 2
-	srv, ts := newTestServer(t, func(c *Config) {
+	_, ts := newTestServer(t, func(c *Config) {
 		c.MaxBatch = big + 4 // the mega-request below takes the direct path
 		c.QueueReads = big + 4
 		c.MaxWait = 5 * time.Second
@@ -375,13 +377,32 @@ func TestAdmissionQueueFull429(t *testing.T) {
 		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(mega)})
 		busy <- err
 	}()
-	waitUntil(t, "the engine to go busy", func() bool { return srv.single.bat.inflightCalls() > 0 })
-	queued := make(chan error, 1)
-	go func() {
-		_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:big])})
-		queued <- err
-	}()
-	waitUntil(t, "the queue to fill", func() bool { return srv.single.bat.queuedReads() == big })
+	// The batched request holds in the queue only while the mega-request
+	// occupies the engine; one that arrives before it dispatches at once.
+	// Resubmit until /v1/stats shows it queued.
+	var queued chan error
+	waitUntil(t, "the queue to fill", func() bool {
+		if queued != nil {
+			select {
+			case err := <-queued: // served before the engine went busy
+				if err != nil {
+					t.Fatalf("batched request failed: %v", err)
+				}
+				queued = nil
+			default:
+			}
+		}
+		if queued == nil {
+			queued = make(chan error, 1)
+			go func(done chan<- error) {
+				_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:big])})
+				done <- err
+			}(queued)
+			return false
+		}
+		st, err := cl.Stats(context.Background())
+		return err == nil && st.QueueReads == int64(big)
+	})
 
 	_, err := cl.Align(context.Background(), client.AlignRequest{Reads: client.FromSeqs(reads[:8])})
 	var re *client.RetryError
@@ -417,196 +438,90 @@ func TestOversizedBody413(t *testing.T) {
 	}
 }
 
-// ---- cancellation ----
-
-// blockingAlign returns an align func whose every call announces itself on
-// starts (handing the test its private release channel) and blocks until
-// released — the deterministic way to hold the engine busy so arrivals
-// coalesce behind it.
-func blockingAlign() (alignFunc, chan chan struct{}) {
-	starts := make(chan chan struct{})
-	return func(ctx context.Context, batch []meraligner.Seq) (*engineCall, error) {
-		release := make(chan struct{})
-		starts <- release
-		select {
-		case <-release:
-			return newEngineCall(&meraligner.Results{TotalReads: len(batch)}, nil, nil), nil
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}, starts
-}
-
-type batchResult struct {
-	win *window
-	err error
-}
-
-func TestQueuedCancelDropsOnlyThatRequest(t *testing.T) {
-	// A and B queue behind a busy engine; A's client disconnects while
-	// still queued. The next batch must carry only B.
-	align, starts := blockingAlign()
-	b := newBatcher(context.Background(), align, 64, time.Second, 1024, nil)
-	reads := func(n int) []meraligner.Seq { return make([]meraligner.Seq, n) }
-
-	primer := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(context.Background(), reads(1))
-		primer <- batchResult{w, err}
-	}()
-	relPrimer := <-starts // engine now busy with the primer
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	resA := make(chan batchResult, 1)
-	resB := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(ctxA, reads(1))
-		resA <- batchResult{w, err}
-	}()
-	waitUntil(t, "A to queue", func() bool { return b.queuedReads() == 1 })
-	go func() {
-		w, err := b.submit(context.Background(), reads(2))
-		resB <- batchResult{w, err}
-	}()
-	waitUntil(t, "B to queue", func() bool { return b.queuedReads() == 3 })
-
-	cancelA()
-	ra := <-resA
-	if !errors.Is(ra.err, context.Canceled) {
-		t.Fatalf("canceled request returned %v, want context.Canceled", ra.err)
-	}
-	close(relPrimer)
-	if pr := <-primer; pr.err != nil {
-		t.Fatalf("primer failed: %v", pr.err)
-	}
-	close(<-starts) // release the follow-up batch (B, with A dropped)
-	rb := <-resB
-	if rb.err != nil {
-		t.Fatalf("batchmate failed: %v", rb.err)
-	}
-	if rb.win == nil || rb.win.hi-rb.win.lo != 2 || len(rb.win.reads) != 2 {
-		t.Fatalf("B's window should hold exactly its own 2 reads (A dropped at take): %+v", rb.win)
-	}
-	if err := b.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMidFlightDisconnectCancelsOnlyThatRequest(t *testing.T) {
-	// A and B coalesce into one engine call (formed behind a busy primer);
-	// A's client disconnects while that call is in flight. B's share must
-	// be intact, and the engine context must survive (one member remains).
-	align, starts := blockingAlign()
-	b := newBatcher(context.Background(), align, 8, time.Second, 64, nil)
-	reads := func(n int) []meraligner.Seq { return make([]meraligner.Seq, n) }
-
-	primer := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(context.Background(), reads(1))
-		primer <- batchResult{w, err}
-	}()
-	relPrimer := <-starts
-
-	ctxA, cancelA := context.WithCancel(context.Background())
-	resA := make(chan batchResult, 1)
-	resB := make(chan batchResult, 1)
-	go func() {
-		w, err := b.submit(ctxA, reads(1))
-		resA <- batchResult{w, err}
-	}()
-	waitUntil(t, "A to queue first", func() bool { return b.queuedReads() == 1 })
-	go func() {
-		w, err := b.submit(context.Background(), reads(2))
-		resB <- batchResult{w, err}
-	}()
-	waitUntil(t, "B to queue behind A", func() bool { return b.queuedReads() == 3 })
-
-	close(relPrimer)
-	relAB := <-starts // the coalesced [A,B] call is now in flight
-	cancelA()
-	ra := <-resA // A unblocks immediately on its own ctx
-	if !errors.Is(ra.err, context.Canceled) {
-		t.Fatalf("canceled member got %v, want context.Canceled", ra.err)
-	}
-	close(relAB)
-	rb := <-resB
-	if rb.err != nil || rb.win == nil {
-		t.Fatalf("surviving member got (%+v, %v), want its window", rb.win, rb.err)
-	}
-	if rb.win.lo != 1 || rb.win.hi != 3 {
-		t.Fatalf("surviving member window [%d,%d), want [1,3)", rb.win.lo, rb.win.hi)
-	}
-	if pr := <-primer; pr.err != nil {
-		t.Fatalf("primer failed: %v", pr.err)
-	}
-	if err := b.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllMembersGoneCancelsEngineCall(t *testing.T) {
-	release := make(chan struct{})
-	entered := make(chan struct{}, 1)
-	align := func(ctx context.Context, batch []meraligner.Seq) (*engineCall, error) {
-		entered <- struct{}{}
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-release:
-			return newEngineCall(&meraligner.Results{TotalReads: len(batch)}, nil, nil), nil
-		}
-	}
-	b := newBatcher(context.Background(), align, 8, 20*time.Millisecond, 64, nil)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan error, 1)
-	go func() {
-		_, err := b.submit(ctx, make([]meraligner.Seq, 1))
-		done <- err
-	}()
-	<-entered
-	cancel() // the only member leaves: the engine call must die with it
-	if err := <-done; !errors.Is(err, context.Canceled) {
-		t.Fatalf("submit returned %v, want context.Canceled", err)
-	}
-	if err := b.drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-}
-
-// TestDirectPathRefusedAfterDrain: drain waits for a direct call bracketed
-// before it began, and once it has begun enterDirect refuses with
-// ErrDraining (as submit does), so no engine call starts after drain saw
-// the batcher idle.
+// TestDirectPathRefusedAfterDrain drives the server's large-request
+// direct path: an in-flight direct engine call holds Drain open and still
+// delivers its result, while a direct request reaching the queue after
+// drain began is refused with ErrDraining without starting an engine call.
 func TestDirectPathRefusedAfterDrain(t *testing.T) {
-	align := func(ctx context.Context, batch []meraligner.Seq) (*engineCall, error) {
-		return newEngineCall(&meraligner.Results{TotalReads: len(batch)}, nil, nil), nil
-	}
-	b := newBatcher(context.Background(), align, 8, time.Millisecond, 64, nil)
-	if err := b.enterDirect(); err != nil {
-		t.Fatalf("enterDirect before drain: %v", err)
-	}
-	drained := make(chan error, 1)
-	go func() { drained <- b.drain(context.Background()) }()
-	waitUntil(t, "drain to begin", func() bool {
-		if b.enterDirect() != nil {
-			return true
+	_, reads := fixture(t)
+	var calls atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var once sync.Once
+	srv, _ := newTestServer(t, func(c *Config) {
+		c.MaxBatch = 4
+		c.Query.Extend = func(q, tg []byte, qOff, tOff, k int, sc align.Scoring, pad int) align.Result {
+			calls.Add(1)
+			once.Do(func() {
+				close(started)
+				<-release
+			})
+			return align.ExtendSeed(q, tg, qOff, tOff, k, sc, pad)
 		}
-		b.exitDirect() // drain not begun yet: undo the probe's entry
-		return false
 	})
+	unblock := sync.OnceFunc(func() { close(release) })
+	t.Cleanup(unblock) // a failed assertion must not leave the engine held
+	batch := reads[:64]
+	direct := make(chan error, 1)
+	go func() {
+		res, err := srv.AlignBatched(context.Background(), batch)
+		if err == nil && res.TotalReads != len(batch) {
+			err = fmt.Errorf("direct call served %d reads, want %d", res.TotalReads, len(batch))
+		}
+		direct <- err
+	}()
+	select {
+	case <-started: // the direct engine call is in flight
+	case err := <-direct:
+		t.Fatalf("direct call returned (%v) before it extended a seed", err)
+	case <-time.After(5 * time.Second):
+		t.Fatal("timed out waiting for the direct call to extend a seed")
+	}
+
+	drained := make(chan error, 1)
+	go func() { drained <- srv.Drain(context.Background()) }()
+	waitUntil(t, "drain to begin", srv.single.bat.Closed)
 	select {
 	case err := <-drained:
-		t.Fatalf("drain returned (%v) while a direct call was in flight", err)
+		t.Fatalf("Drain returned (%v) while a direct call was in flight", err)
 	default:
 	}
-	if err := b.enterDirect(); !errors.Is(err, ErrDraining) {
-		t.Fatalf("enterDirect after drain began: %v, want ErrDraining", err)
+	// serve skips the handlers' own draining check, so the refusal
+	// asserted here is the queue's.
+	before := calls.Load()
+	refuseServe(t, srv, batch, "after drain began")
+	if n := calls.Load(); n != before {
+		t.Fatalf("refused direct request ran the engine (%d extend calls)", n-before)
 	}
-	b.exitDirect()
+	unblock()
+	if err := <-direct; err != nil {
+		t.Fatalf("in-flight direct call: %v", err)
+	}
 	if err := <-drained; err != nil {
-		t.Fatalf("drain: %v", err)
+		t.Fatalf("Drain: %v", err)
+	}
+	refuseServe(t, srv, batch, "after drain finished")
+}
+
+// refuseServe asserts that serving batch on the single-index tenant is
+// refused with ErrDraining, failing rather than hanging if it is not.
+func refuseServe(t *testing.T, srv *Server, batch []meraligner.Seq, when string) {
+	t.Helper()
+	refused := make(chan error, 1)
+	go func() {
+		win, err := srv.single.serve(context.Background(), batch)
+		if err == nil {
+			win.Release()
+		}
+		refused <- err
+	}()
+	select {
+	case err := <-refused:
+		if !errors.Is(err, ErrDraining) {
+			t.Fatalf("direct request %s: %v, want ErrDraining", when, err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("direct request %s was not refused", when)
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 // consistent-enough, which is all an observability endpoint needs.
 
 // serverStats aggregates the service's live counters. It implements
-// batcherStats for the micro-batcher's observations.
+// coalesce.Stats for the micro-batcher's observations.
 type serverStats struct {
 	start time.Time
 
@@ -29,7 +29,7 @@ type serverStats struct {
 	tooShort         atomic.Int64 // reads rejected as shorter than K
 	deadlineRejected atomic.Int64 // 503s: propagated deadline below MinDeadline
 
-	batches          atomic.Int64 // engine calls issued by the batcher
+	batches          atomic.Int64 // engine calls issued by the micro-batcher
 	batchedReads     atomic.Int64 // reads across those calls
 	coalescedBatches atomic.Int64 // calls gluing >= 2 requests
 	maxBatchReads    atomic.Int64 // largest coalesced call seen
@@ -40,7 +40,7 @@ type serverStats struct {
 
 func newServerStats() *serverStats { return &serverStats{start: time.Now()} }
 
-func (s *serverStats) observeBatch(requests, reads int) {
+func (s *serverStats) ObserveBatch(requests, reads int) {
 	s.batches.Add(1)
 	s.batchedReads.Add(int64(reads))
 	if requests >= 2 {
@@ -54,7 +54,7 @@ func (s *serverStats) observeBatch(requests, reads int) {
 	}
 }
 
-func (s *serverStats) observeCanceled() { s.canceled.Add(1) }
+func (s *serverStats) ObserveCanceled() { s.canceled.Add(1) }
 
 // observePerQuery folds the engine's per-query stats of one call into the
 // per-read latency histogram.
