@@ -105,7 +105,8 @@ func TestRecordDHTNetBaseline(t *testing.T) {
 			"snapshots (real -dht-save artifacts reopened from disk) served by merserved -seed-shard " +
 			"over loopback HTTP, vs the same engine probing its local table; best of 3. SAM " +
 			"byte-identity between the runs is asserted before timing. dht_overhead_x is local/dht " +
-			"throughput — every seed lookup becomes a coalesced RPC, so > 1 is expected; the " +
+			"throughput — each work chunk's seed lookups become at most two coalesced RPCs (first " +
+			"seeds for the exact-match path, then the rest for the reads it leaves), so > 1 is expected; the " +
 			"contract is identity plus bounded overhead, and real deployments spread seed shards " +
 			"across hosts for seed tables no single node can hold (the paper's §IV motivation). " +
 			"seeds_per_frame is the client coalescer's aggregation factor across concurrent workers",

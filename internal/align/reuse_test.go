@@ -138,3 +138,40 @@ func TestAlignWindowEmpty(t *testing.T) {
 		t.Fatalf("empty target: %+v", res)
 	}
 }
+
+// TestScoreOnlyOutOfLaneMatchesLocal: scorings too large for the kernels'
+// 8-bit lanes must not be mis-scored by the score-only calls; Align and
+// AlignWindow then return Local's score and end, as LocalWindow returns
+// Local's whole result.
+func TestScoreOnlyOutOfLaneMatchesLocal(t *testing.T) {
+	scorings := []Scoring{
+		{Match: 200, Mismatch: 100, GapOpen: 5, GapExtend: 2}, // match + bias
+		{Match: 1, Mismatch: 300, GapOpen: 5, GapExtend: 2},   // bias alone
+		{Match: 2, Mismatch: 3, GapOpen: 300, GapExtend: 2},   // gap open
+	}
+	// A 10-bp exact match under the first scoring scores 2000.
+	q := []byte{0, 1, 2, 3, 0, 1, 2, 3, 0, 1}
+	if got := NewProfile(q, scorings[0]).AlignWindow(q); got.Score != 2000 || got.TEnd != 10 {
+		t.Fatalf("10-bp exact match: AlignWindow=%+v, want score 2000, end 10", got)
+	}
+	rng := rand.New(rand.NewSource(12))
+	var p Profile
+	for _, sc := range scorings {
+		for trial := 0; trial < 50; trial++ {
+			q := randCodes(rng, 10+rng.Intn(120))
+			tg := mutate(rng, q, 0.05)
+			if trial%2 == 1 {
+				tg = randCodes(rng, 10+rng.Intn(200))
+			}
+			ref := Local(q, tg, sc)
+			want := StripedResult{Score: ref.Score, TEnd: ref.TEnd}
+			p.Reset(q, sc)
+			if got := p.AlignWindow(tg); got != want {
+				t.Fatalf("sc=%+v trial=%d: AlignWindow=%+v, Local=%+v", sc, trial, got, want)
+			}
+			if got := NewProfile(q, sc).Align(tg); got != want {
+				t.Fatalf("sc=%+v trial=%d: Align=%+v, Local=%+v", sc, trial, got, want)
+			}
+		}
+	}
+}

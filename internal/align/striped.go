@@ -104,7 +104,7 @@ type StripedResult struct {
 	Score     int
 	TEnd      int  // past-the-end target index of the best cell
 	Overflow  bool // true when the 8-bit kernel saturated (16-bit was used)
-	UsedLanes uint // lane width of the kernel that produced the score
+	UsedLanes uint // lane width of the kernel that produced the score; 0 for the scalar reference path
 }
 
 // Profile is a striped query profile reusable across targets — SSW builds
@@ -206,10 +206,15 @@ func (p *Profile) build16() {
 
 // Align computes the local alignment score of the profile's query against
 // target, using the 8-bit kernel and rescuing with 16-bit on saturation.
-// Safe for concurrent callers on a profile that is not being Reset.
+// Scorings that do not fit a lane, and scores past the 16-bit lanes, get
+// Local's score and end instead. Safe for concurrent callers on a profile
+// that is not being Reset.
 func (p *Profile) Align(target []byte) StripedResult {
 	if len(p.query) == 0 || len(target) == 0 {
 		return StripedResult{}
+	}
+	if !p.fitsLanes() {
+		return p.local(target)
 	}
 	score, tEnd, overflow := p.kernel8(target,
 		make([]uint64, p.segLen8), make([]uint64, p.segLen8), make([]uint64, p.segLen8), nil)
@@ -217,9 +222,26 @@ func (p *Profile) Align(target []byte) StripedResult {
 		return StripedResult{Score: score, TEnd: tEnd, UsedLanes: 8}
 	}
 	p.once16.Do(p.build16)
-	score, tEnd, _ = p.kernel(spec16, p.segLen16, &p.prof16, target,
+	score, tEnd, overflow = p.kernel(spec16, p.segLen16, &p.prof16, target,
 		make([]uint64, p.segLen16), make([]uint64, p.segLen16), make([]uint64, p.segLen16), nil)
+	if overflow {
+		return p.local(target)
+	}
 	return StripedResult{Score: score, TEnd: tEnd, Overflow: true, UsedLanes: 16}
+}
+
+// fitsLanes reports whether the striped kernels can score the profile's
+// scoring: every profile value (score + bias) and the gap penalties must
+// fit an 8-bit lane. Outlandish scorings take the reference path (local).
+func (p *Profile) fitsLanes() bool {
+	return uint64(p.sc.Match)+p.bias <= spec8.max && uint64(p.sc.GapOpen+p.sc.GapExtend) <= spec8.max
+}
+
+// local is the score-only calls' reference path, for scorings that do not
+// fit a lane and scores past the 16-bit lanes: Local's score and end.
+func (p *Profile) local(target []byte) StripedResult {
+	r := Local(p.query, target, p.sc)
+	return StripedResult{Score: r.Score, TEnd: r.TEnd}
 }
 
 // AlignWindow is Align for a single-owner profile: the kernel runs on
@@ -232,7 +254,13 @@ func (p *Profile) AlignWindow(target []byte) StripedResult {
 	if len(p.query) == 0 || len(target) == 0 {
 		return StripedResult{}
 	}
-	score, tEnd, H, _ := p.fill(target, false)
+	if !p.fitsLanes() {
+		return p.local(target)
+	}
+	score, tEnd, H, overflow := p.fill(target, false)
+	if overflow {
+		return p.local(target)
+	}
 	return StripedResult{Score: score, TEnd: tEnd, Overflow: H.bits == 16, UsedLanes: H.bits}
 }
 

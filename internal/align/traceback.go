@@ -56,11 +56,10 @@ func (p *Profile) LocalWindow(target []byte) Result {
 	if len(p.query) == 0 || len(target) == 0 {
 		return Result{}
 	}
-	// The kernels need every profile value (score + bias) and the gap
-	// penalties to fit an 8-bit lane; outlandish scorings, and scores past
-	// the 16-bit lanes, take the reference path.
+	// Scorings that do not fit a lane, and scores past the 16-bit lanes,
+	// take the reference path.
 	sc := p.sc
-	if uint64(sc.Match)+p.bias > spec8.max || uint64(sc.GapOpen+sc.GapExtend) > spec8.max {
+	if !p.fitsLanes() {
 		return Local(p.query, target, sc)
 	}
 	score, bi, H, overflow := p.fill(target, true)

@@ -12,6 +12,7 @@ import (
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/merx"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 )
 
 // shardSetResolver implements SeedResolver over loaded seed shards — the
@@ -144,23 +145,55 @@ func TestSeedShardResolverParityStride(t *testing.T) {
 	}
 }
 
-// failingResolver fails after a set number of ResolveSeeds calls. Pool
-// workers call it concurrently, so the count is atomic.
-type failingResolver struct {
-	inner SeedResolver
-	calls atomic.Int64
-	after int64
+// firstSeeds returns the set of the reads' first canonical seeds: what a
+// phase-1 call of the chunked remote path carries when ExactMatch is on.
+func firstSeeds(reads []seqio.Seq, k int) map[kmer.Kmer]bool {
+	set := map[kmer.Kmer]bool{}
+	for _, r := range reads {
+		if r.Seq.Len() < k {
+			continue
+		}
+		var sc kmer.Scanner
+		sc.Reset(r.Seq, k)
+		sc.Next()
+		canon, _ := sc.Canonical()
+		set[canon] = true
+	}
+	return set
 }
 
-func (r *failingResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
-	if r.calls.Add(1) > r.after {
+// phaseFailingResolver fails the call after the first `after` calls of one
+// phase. A call belongs to phase 1 when it carries only reads' first seeds
+// (phase-2 calls carry every later seed of the reads they serve, which
+// never all coincide with read starts on the test workload). Pool workers
+// call it concurrently, so the count is atomic.
+type phaseFailingResolver struct {
+	inner  SeedResolver
+	firsts map[kmer.Kmer]bool
+	phase  int
+	after  int64
+	calls  atomic.Int64 // calls of the failing phase
+}
+
+func (r *phaseFailingResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
+	phase := 1
+	for _, s := range seeds {
+		if !r.firsts[s] {
+			phase = 2
+			break
+		}
+	}
+	if phase == r.phase && r.calls.Add(1) > r.after {
 		return errors.New("seed shard unreachable")
 	}
 	return r.inner.ResolveSeeds(ctx, seeds, out)
 }
 
 // TestSeedResolverErrorAborts: a resolver failure must fail the whole call
-// with the resolver's error — no partial results, no silent seed loss.
+// with the resolver's error — no partial results, no silent seed loss —
+// whether it hits a phase-1 call (first seeds, fast path) or a phase-2 call
+// (the remaining seeds of the reads the fast path left), on the pool and on
+// the serial path.
 func TestSeedResolverErrorAborts(t *testing.T) {
 	ds := testWorkload(t, 30_000, 2, 0.005)
 	opt := testOptions(21)
@@ -168,16 +201,161 @@ func TestSeedResolverErrorAborts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shards := loadSeedShardSet(t, ix, 2)
-	qopt := opt.QueryOptions
-	qopt.SeedResolver = &failingResolver{inner: &shardSetResolver{shards: shards}, after: 5}
-
-	if _, err := ix.Query(context.Background(), 2, qopt, ds.Reads); err == nil || err.Error() != "seed shard unreachable" {
-		t.Fatalf("Query surfaced %v, want the resolver error", err)
+	if len(ds.Reads) <= alignBatch {
+		t.Fatalf("%d reads fill one chunk; the pool cases need several", len(ds.Reads))
 	}
-	qopt.SeedResolver = &failingResolver{inner: &shardSetResolver{shards: shards}, after: 5}
-	if _, err := ix.QuerySerial(context.Background(), qopt, ds.Reads); err == nil || err.Error() != "seed shard unreachable" {
-		t.Fatalf("QuerySerial surfaced %v, want the resolver error", err)
+	shards := loadSeedShardSet(t, ix, 2)
+	firsts := firstSeeds(ds.Reads, opt.K)
+	for _, phase := range []int{1, 2} {
+		for _, serial := range []bool{false, true} {
+			// The pool fails a later chunk's call of the phase, after one
+			// chunk of it succeeded; the serial path has one call per phase.
+			r := &phaseFailingResolver{inner: &shardSetResolver{shards: shards}, firsts: firsts, phase: phase}
+			qopt := opt.QueryOptions
+			qopt.SeedResolver = r
+			var res *Results
+			if serial {
+				res, err = ix.QuerySerial(context.Background(), qopt, ds.Reads)
+			} else {
+				r.after = 1
+				res, err = ix.Query(context.Background(), 2, qopt, ds.Reads)
+			}
+			if err == nil || err.Error() != "seed shard unreachable" || res != nil {
+				t.Errorf("phase %d, serial %v: got results %v, error %v; want only the resolver error", phase, serial, res != nil, err)
+			}
+			if r.calls.Load() <= r.after {
+				t.Errorf("phase %d, serial %v: the failure was never injected", phase, serial)
+			}
+		}
+	}
+}
+
+// peerFailResolver holds its first call until the engine cancels it, and
+// fails every other call: the held call's cancellation is derived from a
+// peer's failure.
+type peerFailResolver struct {
+	calls atomic.Int64
+}
+
+func (r *peerFailResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
+	if r.calls.Add(1) == 1 {
+		<-ctx.Done()
+		return ctx.Err()
+	}
+	return errors.New("seed shard unreachable")
+}
+
+// TestSeedResolverPeerCancellation: when one worker's resolver call fails
+// while another's is in flight, Query must surface the failure, not the
+// in-flight call's derived cancellation, whichever worker held which call.
+func TestSeedResolverPeerCancellation(t *testing.T) {
+	ds := testWorkload(t, 30_000, 2, 0.005)
+	opt := testOptions(21)
+	ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ {
+		qopt := opt.QueryOptions
+		qopt.SeedResolver = &peerFailResolver{}
+		res, err := ix.Query(context.Background(), 2, qopt, ds.Reads)
+		if err == nil || err.Error() != "seed shard unreachable" || res != nil {
+			t.Fatalf("run %d: got results %v, error %v; want only the resolver error", i, res != nil, err)
+		}
+	}
+}
+
+// countingResolver counts ResolveSeeds calls and the seeds they carry.
+type countingResolver struct {
+	inner        SeedResolver
+	calls, seeds atomic.Int64
+}
+
+func (r *countingResolver) ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error {
+	r.calls.Add(1)
+	r.seeds.Add(int64(len(seeds)))
+	return r.inner.ResolveSeeds(ctx, seeds, out)
+}
+
+// TestChunkedResolverBudget pins the chunked remote path's call budget and
+// its parity with the local engine: at most two ResolveSeeds calls per work
+// chunk, no seed sent that is never looked up, and alignments and per-query
+// stats (wall time aside) identical to local lookups — across ExactMatch
+// on/off, seed strides, reads shorter than K, the pool with one and two
+// workers, the serial path, and CollectPerQuery.
+func TestChunkedResolverBudget(t *testing.T) {
+	ds := testWorkload(t, 30_000, 2, 0.005)
+	reads := append([]seqio.Seq(nil), ds.Reads...)
+	for i := 0; i < len(reads); i += 37 {
+		reads[i].Seq = reads[i].Seq.Slice(0, 10) // shorter than K
+	}
+	if len(reads) <= alignBatch {
+		t.Fatalf("%d reads fill one chunk; the pool cases need several", len(reads))
+	}
+	for _, exact := range []bool{true, false} {
+		opt := testOptions(21)
+		opt.ExactMatch = exact
+		ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := loadSeedShardSet(t, ix, 2)
+		for _, stride := range []int{1, 3} {
+			for _, workers := range []int{0, 1, 2} { // 0: QuerySerial
+				for _, perQuery := range []bool{false, true} {
+					name := fmt.Sprintf("exact=%v/stride=%d/workers=%d/perQuery=%v", exact, stride, workers, perQuery)
+					qopt := opt.QueryOptions
+					qopt.SeedStride = stride
+					qopt.CollectPerQuery = perQuery
+					run := func(qopt QueryOptions) *Results {
+						var res *Results
+						var err error
+						if workers == 0 {
+							res, err = ix.QuerySerial(context.Background(), qopt, reads)
+						} else {
+							res, err = ix.Query(context.Background(), workers, qopt, reads)
+						}
+						if err != nil {
+							t.Fatalf("%s: %v", name, err)
+						}
+						for i := range res.PerQuery {
+							res.PerQuery[i].Nanos = 0
+						}
+						return res
+					}
+					want := run(qopt)
+					cr := &countingResolver{inner: &shardSetResolver{shards: shards}}
+					qopt.SeedResolver = cr
+					got := run(qopt)
+
+					chunks := int64(1)
+					if workers > 0 {
+						chunks = int64((len(reads) + alignBatch - 1) / alignBatch)
+					}
+					if n := cr.calls.Load(); n > 2*chunks {
+						t.Errorf("%s: %d ResolveSeeds calls for %d chunks", name, n, chunks)
+					}
+					if n := cr.seeds.Load(); n != got.SeedLookups {
+						t.Errorf("%s: sent %d seeds, looked up %d", name, n, got.SeedLookups)
+					}
+					if got.SeedLookups != want.SeedLookups || got.AlignedReads != want.AlignedReads ||
+						got.ExactPathReads != want.ExactPathReads || got.SWCalls != want.SWCalls ||
+						got.TooShortReads != want.TooShortReads {
+						t.Errorf("%s: counters differ:\nlocal  %+v\nremote %+v", name, want, got)
+					}
+					if !reflect.DeepEqual(want.Alignments, got.Alignments) {
+						t.Errorf("%s: alignments differ: local %d, remote %d", name, len(want.Alignments), len(got.Alignments))
+					}
+					if !reflect.DeepEqual(want.PerQuery, got.PerQuery) {
+						t.Errorf("%s: per-query stats differ", name)
+					}
+					if exact && want.ExactPathReads == 0 || want.TooShortReads == 0 || want.AlignedReads == want.ExactPathReads {
+						t.Fatalf("%s: workload misses a path (exact %d, too short %d, aligned %d)",
+							name, want.ExactPathReads, want.TooShortReads, want.AlignedReads)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
@@ -159,5 +160,41 @@ func BenchmarkQueryNoAlloc(b *testing.B) {
 	if avg != 0 {
 		b.Fatalf("serial query path allocates %.2f objects per %d-read batch in steady state, want 0",
 			avg, len(reads))
+	}
+}
+
+// TestStatsOnlyMatchesCollecting: a statistics-only Query (the score-only
+// AlignWindow pass) and a collecting Query (the LocalWindow traceback) must
+// report the same aligned reads and alignments, including under a scoring
+// too large for the striped kernels' 8-bit lanes.
+func TestStatsOnlyMatchesCollecting(t *testing.T) {
+	ds := testWorkload(t, 40_000, 2, 0.01)
+	for _, sc := range []align.Scoring{
+		align.DefaultScoring,
+		{Match: 200, Mismatch: 100, GapOpen: 5, GapExtend: 2},
+	} {
+		opt := testOptions(21)
+		opt.Scoring = sc
+		ix, err := BuildIndex(2, opt.IndexOptions, ds.Contigs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		coll, err := ix.Query(context.Background(), 2, opt.QueryOptions, ds.Reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qopt := opt.QueryOptions
+		qopt.CollectAlignments = false
+		stats, err := ix.Query(context.Background(), 2, qopt, ds.Reads)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.AlignedReads != coll.AlignedReads || stats.TotalAlignments != coll.TotalAlignments {
+			t.Errorf("scoring %+v: stats-only aligned %d reads / %d alignments, collecting %d / %d",
+				sc, stats.AlignedReads, stats.TotalAlignments, coll.AlignedReads, coll.TotalAlignments)
+		}
+		if coll.AlignedReads == coll.ExactPathReads {
+			t.Fatalf("scoring %+v: no read took the general path; the comparison is vacuous", sc)
+		}
 	}
 }

@@ -3,10 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"github.com/lbl-repro/meraligner/internal/dht"
-	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/kmer"
 	"github.com/lbl-repro/meraligner/internal/merx"
 	"github.com/lbl-repro/meraligner/internal/seqio"
@@ -220,15 +218,11 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 		perQuery = make([]QueryStat, len(queries))
 	}
 	// On the remote-DHT path a resolver failure on any worker aborts the
-	// whole call: the failing worker cancels qctx so its peers stop claiming
-	// chunks, and the resolver error (not the derived cancellation) is
-	// surfaced.
-	qctx := ctx
-	var cancel context.CancelFunc
-	if opt.SeedResolver != nil {
-		qctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-	}
+	// whole call: the failing worker cancels qctx with its error as the
+	// cause, so its peers stop claiming chunks, and that first error (not a
+	// peer's derived cancellation) is surfaced.
+	qctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	perThread := make([]threadStats, workers)
 	rec.run(PhaseAlign, threads, func() {
 		qps := make([]*queryProcessor, workers)
@@ -238,27 +232,20 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 				return
 			}
 			if qps[w] == nil {
-				qps[w] = newQueryProcessor(costs, full, threadedAccess{sx: ix.sx}, ix.ft)
-				if opt.SeedResolver != nil {
-					qps[w].setResolver(qctx, opt.SeedResolver)
-				}
+				qps[w] = ix.processor(qctx, costs, full)
 			}
 			if opt.CollectAlignments && st.alignments == nil {
 				st.alignments = []Alignment{}
 			}
-			for qi := lo; qi < hi; qi++ {
-				if perQuery == nil {
-					qps[w].process(threads[w], st, int32(qi), queries[qi].Seq)
-				} else {
-					processStat(qps[w], threads[w], st, int32(qi), queries[qi].Seq, ix.opt.K, &perQuery[qi])
-				}
-				if st.err != nil {
-					cancel()
-					return
-				}
+			qps[w].alignChunk(threads[w], st, queries, lo, hi, perQuery)
+			if st.err != nil {
+				cancel(st.err)
 			}
 		})
 	})
+	if err := context.Cause(qctx); err != nil && ctx.Err() == nil {
+		return nil, err
+	}
 	for i := range perThread {
 		if err := perThread[i].err; err != nil {
 			return nil, err
@@ -276,30 +263,21 @@ func (ix *ThreadedIndex) Query(ctx context.Context, workers int, opt QueryOption
 	return res, nil
 }
 
-// processStat runs process for one query and fills its QueryStat from the
-// deltas of the thread's accumulating counters.
-func processStat(qp *queryProcessor, th *upc.Thread, st *threadStats, qi int32, q dna.Packed, k int, out *QueryStat) {
-	swc, aln, exa := st.swCalls, st.totalAlignments, st.exact
-	slk := th.Counters.SeedLookups
-	start := time.Now()
-	qp.process(th, st, qi, q)
-	out.Nanos = time.Since(start).Nanoseconds()
-	out.SWCalls = int32(st.swCalls - swc)
-	out.SeedLookups = int32(th.Counters.SeedLookups - slk)
-	out.Alignments = int32(st.totalAlignments - aln)
-	out.Exact = st.exact > exa
-	if q.Len() < k {
-		out.Status = QueryTooShort
-	}
+// processor returns a query processor over the resident index for one
+// worker, bound to ctx and, when opt sets one, to the remote seed resolver.
+func (ix *ThreadedIndex) processor(ctx context.Context, costs upc.MachineConfig, opt Options) *queryProcessor {
+	qp := newQueryProcessor(costs, opt, threadedAccess{sx: ix.sx}, ix.ft)
+	qp.ctx, qp.resolver = ctx, opt.SeedResolver
+	return qp
 }
 
 // QuerySerial is the low-latency path for tiny batches: it aligns queries
-// on the calling goroutine with one reusable processor — no worker pool, no
-// chunk scheduling — checking ctx between queries. A network service
-// answering single-read requests is bound by per-call overhead, not
-// parallel throughput; this path strips the overhead while producing
-// Results identical to Query's on the same input (same algorithm, same
-// canonical merge).
+// on the calling goroutine with one reusable processor — no worker pool;
+// the whole batch is one work chunk — checking ctx between queries. A
+// network service answering single-read requests is bound by per-call
+// overhead, not parallel throughput; this path strips the overhead while
+// producing Results identical to Query's on the same input (same
+// algorithm, same canonical merge).
 func (ix *ThreadedIndex) QuerySerial(ctx context.Context, opt QueryOptions, queries []seqio.Seq) (*Results, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -320,30 +298,11 @@ func (ix *ThreadedIndex) QuerySerial(ctx context.Context, opt QueryOptions, quer
 	}
 	perThread := make([]threadStats, 1)
 	rec.run(PhaseAlign, []*upc.Thread{th}, func() {
-		qp := newQueryProcessor(costs, full, threadedAccess{sx: ix.sx}, ix.ft)
-		if opt.SeedResolver != nil {
-			qp.setResolver(ctx, opt.SeedResolver)
-		}
 		st := &perThread[0]
 		if opt.CollectAlignments {
 			st.alignments = []Alignment{}
 		}
-		done := ctx.Done()
-		for qi := range queries {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			if perQuery == nil {
-				qp.process(th, st, int32(qi), queries[qi].Seq)
-			} else {
-				processStat(qp, th, st, int32(qi), queries[qi].Seq, ix.opt.K, &perQuery[qi])
-			}
-			if st.err != nil {
-				return
-			}
-		}
+		ix.processor(ctx, costs, full).alignChunk(th, st, queries, 0, len(queries), perQuery)
 	})
 	if err := perThread[0].err; err != nil {
 		return nil, err

@@ -2,12 +2,14 @@ package core
 
 import (
 	"context"
+	"time"
 
 	"github.com/lbl-repro/meraligner/internal/align"
 	"github.com/lbl-repro/meraligner/internal/cache"
 	"github.com/lbl-repro/meraligner/internal/dht"
 	"github.com/lbl-repro/meraligner/internal/dna"
 	"github.com/lbl-repro/meraligner/internal/kmer"
+	"github.com/lbl-repro/meraligner/internal/seqio"
 	"github.com/lbl-repro/meraligner/internal/upc"
 )
 
@@ -90,46 +92,178 @@ type queryProcessor struct {
 	foundRC   []bool
 	foundTg   []int32
 
-	// Remote-DHT state, active only when setResolver was called (the
-	// threaded engine with QueryOptions.SeedResolver set): each query's
-	// seeds are collected into seedBuf, resolved in one ResolveSeeds call,
-	// and consumed from ansBuf in lookup order.
+	// Remote-DHT state, active only on the threaded engine with
+	// QueryOptions.SeedResolver set (see alignChunk): a chunk's seeds are
+	// collected into seedBuf, resolved in one ResolveSeeds call per phase,
+	// and consumed from ansBuf in lookup order. pending holds the reads the
+	// fast path left to phase 2. All three are reused chunk to chunk.
 	resolver SeedResolver
-	rctx     context.Context
+	ctx      context.Context
 	seedBuf  []kmer.Kmer
 	ansBuf   []SeedAnswer
 	ansIdx   int
+	pending  []pendingRead
+}
+
+// pendingRead is a read the exact-match fast path did not settle in phase 1
+// of a remote chunk: its query index and its first seed's answer, which the
+// general path reuses in phase 2 instead of resending the seed.
+type pendingRead struct {
+	qi    int32
+	first SeedAnswer
 }
 
 func newQueryProcessor(mach upc.MachineConfig, opt Options, acc indexAccess, ft *FragmentTable) *queryProcessor {
 	return &queryProcessor{opt: opt, acc: acc, ft: ft, costs: mach}
 }
 
-// setResolver activates the remote-DHT path: seed lookups resolve through r
-// under ctx instead of probing the local index. Only the threaded engine
-// calls this; the simulated engine always probes locally.
-func (qp *queryProcessor) setResolver(ctx context.Context, r SeedResolver) {
-	qp.resolver, qp.rctx = r, ctx
+// alignChunk aligns queries [lo, hi), one claimed work chunk of the
+// threaded engine, into st, filling perQuery[lo:hi] when perQuery is
+// non-nil. It stops early, without error, once qp.ctx is done.
+//
+// Local lookups run read by read. With a resolver the chunk's seeds travel
+// in at most two ResolveSeeds calls, so remote lookups aggregate across
+// reads (the paper's aggregating stores, §III-A) while keeping the
+// exact-match saving (§IV-A): phase 1 carries the first seed of every read
+// long enough to have one, and each read runs the fast path on its answer;
+// phase 2 carries the remaining seeds of only the reads the fast path left,
+// which then run the general path reusing their phase-1 answer. Without
+// ExactMatch phase 1 carries every seed and there is no phase 2. Answers
+// are consumed in the order process looks seeds up, so alignments and
+// per-query counters equal the local engine's.
+//
+// QueryStat.Nanos is each read's own processing time plus the resolve
+// calls that carried its seeds.
+func (qp *queryProcessor) alignChunk(th *upc.Thread, st *threadStats, queries []seqio.Seq, lo, hi int, perQuery []QueryStat) {
+	split := qp.resolver != nil && qp.opt.ExactMatch
+	var wait time.Duration
+	if qp.resolver != nil {
+		qp.seedBuf = qp.seedBuf[:0]
+		for qi := lo; qi < hi; qi++ {
+			qp.seedBuf = qp.appendSeeds(qp.seedBuf, queries[qi].Seq, true, !split)
+		}
+		if wait, st.err = qp.resolve(); st.err != nil {
+			return
+		}
+	}
+	clear(qp.pending)
+	qp.pending = qp.pending[:0]
+	done := qp.ctx.Done()
+	for qi := lo; qi < hi; qi++ {
+		if isDone(done) {
+			return
+		}
+		q := queries[qi].Seq
+		var m statMark
+		if perQuery != nil {
+			m = markStat(th, st)
+		}
+		if !split {
+			qp.process(th, st, int32(qi), q)
+		} else if qp.begin(st, int32(qi), q) {
+			if first, settled := qp.exact(th, st, int32(qi), q.Len()); !settled {
+				qp.pending = append(qp.pending, pendingRead{qi: int32(qi), first: first})
+			}
+		}
+		if perQuery != nil {
+			out := &perQuery[qi]
+			if q.Len() < qp.opt.K {
+				out.Status = QueryTooShort
+			} else if qp.resolver != nil {
+				out.Nanos += wait.Nanoseconds()
+			}
+			m.add(out, th, st)
+		}
+	}
+	if len(qp.pending) == 0 {
+		return
+	}
+
+	qp.seedBuf = qp.seedBuf[:0]
+	for _, p := range qp.pending {
+		qp.seedBuf = qp.appendSeeds(qp.seedBuf, queries[p.qi].Seq, false, true)
+	}
+	if wait, st.err = qp.resolve(); st.err != nil {
+		return
+	}
+	for _, p := range qp.pending {
+		if isDone(done) {
+			return
+		}
+		var m statMark
+		if perQuery != nil {
+			m = markStat(th, st)
+		}
+		q := queries[p.qi].Seq
+		qp.begin(st, p.qi, q) // true: the read reached phase 1's fast path
+		qp.general(th, st, p.qi, q.Len(), p.first)
+		if perQuery != nil {
+			perQuery[p.qi].Nanos += wait.Nanoseconds()
+			m.add(&perQuery[p.qi], th, st)
+		}
+	}
 }
 
-// prefetchSeeds collects every canonical seed the current query will look
-// up — the first position, then every later position on the stride — and
-// resolves them in one ResolveSeeds call. The collection order IS the
-// consumption order of process, so lookupSeed can pop answers positionally.
-func (qp *queryProcessor) prefetchSeeds(q dna.Packed, stride int) error {
-	qp.seedBuf = qp.seedBuf[:0]
-	var sc kmer.Scanner
+// isDone polls a done channel without blocking.
+func isDone(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
+}
+
+// statMark snapshots the counters a QueryStat is derived from; add folds
+// the deltas since the mark into one query's stat. A read processed in two
+// phases accumulates both.
+type statMark struct {
+	sw, aln, exa, slk int64
+	start             time.Time
+}
+
+func markStat(th *upc.Thread, st *threadStats) statMark {
+	return statMark{sw: st.swCalls, aln: st.totalAlignments, exa: int64(st.exact),
+		slk: th.Counters.SeedLookups, start: time.Now()}
+}
+
+func (m statMark) add(out *QueryStat, th *upc.Thread, st *threadStats) {
+	out.Nanos += time.Since(m.start).Nanoseconds()
+	out.SWCalls += int32(st.swCalls - m.sw)
+	out.SeedLookups += int32(th.Counters.SeedLookups - m.slk)
+	out.Alignments += int32(st.totalAlignments - m.aln)
+	out.Exact = out.Exact || int64(st.exact) > m.exa
+}
+
+// appendSeeds appends the canonical seeds process looks up for q, in lookup
+// order: the first position when first is set, then every later position
+// on the stride when rest is set. A query shorter than K has none.
+func (qp *queryProcessor) appendSeeds(buf []kmer.Kmer, q dna.Packed, first, rest bool) []kmer.Kmer {
+	if q.Len() < qp.opt.K {
+		return buf
+	}
+	stride := qp.opt.stride()
+	sc := &qp.scan // free between reads; begin resets it
 	sc.Reset(q, qp.opt.K)
 	sc.Next()
-	canon, _ := sc.Canonical()
-	qp.seedBuf = append(qp.seedBuf, canon)
-	for sc.Next() {
+	if first {
+		canon, _ := sc.Canonical()
+		buf = append(buf, canon)
+	}
+	for rest && sc.Next() {
 		if sc.Offset()%stride != 0 {
 			continue
 		}
 		canon, _ := sc.Canonical()
-		qp.seedBuf = append(qp.seedBuf, canon)
+		buf = append(buf, canon)
 	}
+	return buf
+}
+
+// resolve sends seedBuf in one ResolveSeeds call, readying ansBuf for
+// positional consumption by lookupSeed, and reports the call's duration.
+// An empty seedBuf makes no call.
+func (qp *queryProcessor) resolve() (time.Duration, error) {
 	n := len(qp.seedBuf)
 	if cap(qp.ansBuf) < n {
 		qp.ansBuf = make([]SeedAnswer, n)
@@ -137,11 +271,16 @@ func (qp *queryProcessor) prefetchSeeds(q dna.Packed, stride int) error {
 	qp.ansBuf = qp.ansBuf[:n]
 	clear(qp.ansBuf)
 	qp.ansIdx = 0
-	return qp.resolver.ResolveSeeds(qp.rctx, qp.seedBuf, qp.ansBuf)
+	if n == 0 {
+		return 0, nil
+	}
+	start := time.Now()
+	err := qp.resolver.ResolveSeeds(qp.ctx, qp.seedBuf, qp.ansBuf)
+	return time.Since(start), err
 }
 
 // lookupSeed is the one seed-lookup site of the aligning phase: the local
-// index probe, or — on the remote path — the next prefetched answer. The
+// index probe, or — on the remote path — the next resolved answer. The
 // thread's lookup counter advances either way, so per-query statistics are
 // identical across the two paths.
 func (qp *queryProcessor) lookupSeed(th *upc.Thread, s kmer.Kmer) (dht.LookupResult, bool) {
@@ -157,24 +296,30 @@ func (qp *queryProcessor) lookupSeed(th *upc.Thread, s kmer.Kmer) (dht.LookupRes
 // process aligns one query (Algorithm 1, lines 8-12, plus §IV
 // optimizations), charging the thread's cost model and accumulating into st.
 func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q dna.Packed) {
-	opt := &qp.opt
-	L := q.Len()
-	if L < opt.K {
+	if !qp.begin(st, qi, q) {
+		return
+	}
+	var first SeedAnswer
+	if qp.opt.ExactMatch {
+		var settled bool
+		if first, settled = qp.exact(th, st, qi, q.Len()); settled {
+			return // single lookup sufficed — minimal communication
+		}
+	}
+	qp.general(th, st, qi, q.Len(), first)
+}
+
+// begin readies the per-query state for q, leaving the scanner on the
+// first seed. A query shorter than K is recorded as too short and begin
+// reports false.
+func (qp *queryProcessor) begin(st *threadStats, qi int32, q dna.Packed) bool {
+	if q.Len() < qp.opt.K {
 		// No complete seed fits: the read cannot be aligned. Record the
 		// typed status instead of silently dropping it, so callers (the
 		// service layer in particular) can distinguish "bad input" from
 		// "aligned nowhere".
 		st.tooShort = append(st.tooShort, qi)
-		return
-	}
-	mach := &qp.costs
-	if qp.resolver != nil {
-		// Remote path: resolve every seed of this query in one batched
-		// call before the per-seed loop consumes the answers positionally.
-		if err := qp.prefetchSeeds(q, opt.stride()); err != nil {
-			st.err = err
-			return
-		}
+		return false
 	}
 	qp.fwd = q.AppendCodes(qp.fwd[:0])
 	qp.rc = qp.rc[:0]
@@ -190,48 +335,48 @@ func (qp *queryProcessor) process(th *upc.Thread, st *threadStats, qi int32, q d
 
 	// The scanner maintains the forward and reverse-complement seeds
 	// incrementally; L >= K guarantees at least one position.
-	qp.scan.Reset(q, opt.K)
+	qp.scan.Reset(q, qp.opt.K)
 	qp.scan.Next()
+	return true
+}
 
-	// ---- Exact-match fast path (§IV-A) ----
-	firstSeedChecked := false
-	var firstRes dht.LookupResult
-	var firstOK bool
-	var firstQRC bool
-	if opt.ExactMatch {
-		th.Compute(mach.SeedExtractCost)
-		var firstCanon kmer.Kmer
-		firstCanon, firstQRC = qp.scan.Canonical()
-		firstRes, firstOK = qp.lookupSeed(th, firstCanon)
-		firstSeedChecked = true
-		if firstOK && firstRes.Count == 1 && len(firstRes.Locs) == 1 {
-			loc := firstRes.Locs[0]
-			if qp.acc.SingleCopy(loc.Frag) {
-				if a, ok := qp.tryExact(th, loc, firstQRC, L); ok {
-					a.Query = qi
-					st.exact++
-					st.aligned++
-					st.totalAlignments++
-					if st.alignments != nil {
-						a.Cigar = align.Cigar{{Op: 'M', Len: L}}.String()
-						st.alignments = append(st.alignments, a)
-					}
-					return // single lookup sufficed — minimal communication
-				}
+// exact is the exact-match fast path (§IV-A) on a begun query of length L:
+// it looks up the first seed and, on a single-copy hit the whole query
+// matches, records the alignment and reports the query settled. Otherwise
+// it returns the first seed's answer for the general path to reuse.
+func (qp *queryProcessor) exact(th *upc.Thread, st *threadStats, qi int32, L int) (SeedAnswer, bool) {
+	th.Compute(qp.costs.SeedExtractCost)
+	canon, qrc := qp.scan.Canonical()
+	res, ok := qp.lookupSeed(th, canon)
+	if ok && res.Count == 1 && len(res.Locs) == 1 && qp.acc.SingleCopy(res.Locs[0].Frag) {
+		if a, hit := qp.tryExact(th, res.Locs[0], qrc, L); hit {
+			a.Query = qi
+			st.exact++
+			st.aligned++
+			st.totalAlignments++
+			if st.alignments != nil {
+				a.Cigar = align.Cigar{{Op: 'M', Len: L}}.String()
+				st.alignments = append(st.alignments, a)
 			}
+			return SeedAnswer{}, true
 		}
 	}
+	return SeedAnswer{Res: res, OK: ok}, false
+}
 
-	// ---- General path: every seed, lookup, extend (lines 9-12) ----
-	stride := opt.stride()
-	if firstSeedChecked {
-		qp.seedHits(th, st, firstRes, firstOK, firstQRC, 0, L) // reuse the fast-path lookup
-	} else {
+// general is the general path (Algorithm 1, lines 9-12) on a begun query
+// of length L: look up every seed on the stride, extend each candidate,
+// and report the distinct alignments. With ExactMatch the fast path has
+// already looked up the first seed, and its answer first is reused.
+func (qp *queryProcessor) general(th *upc.Thread, st *threadStats, qi int32, L int, first SeedAnswer) {
+	mach := &qp.costs
+	stride := qp.opt.stride()
+	canon, qrc := qp.scan.Canonical()
+	if !qp.opt.ExactMatch {
 		th.Compute(mach.SeedExtractCost)
-		canon, qrc := qp.scan.Canonical()
-		res, ok := qp.lookupSeed(th, canon)
-		qp.seedHits(th, st, res, ok, qrc, 0, L)
+		first.Res, first.OK = qp.lookupSeed(th, canon)
 	}
+	qp.seedHits(th, st, first.Res, first.OK, qrc, 0, L)
 	for qp.scan.Next() {
 		qoff := qp.scan.Offset()
 		if qoff%stride != 0 {

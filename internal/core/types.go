@@ -103,10 +103,12 @@ type QueryOptions struct {
 
 	// SeedResolver replaces the local seed-index probe with a remote
 	// resolver — the distributed-DHT seam. When set on a threaded-engine
-	// call, every query's seed lookups are collected up front and resolved
-	// in one ResolveSeeds call (which the network tier batches per owning
-	// node); extension and Smith-Waterman still run locally, and the
-	// results are bit-identical to local lookups against the same table.
+	// call, each work chunk's seed lookups are resolved in at most two
+	// ResolveSeeds calls (which the network tier batches per owning node):
+	// the reads' first seeds for the exact-match fast path, then the
+	// remaining seeds of the reads it did not settle. Extension and
+	// Smith-Waterman still run locally, and the results are bit-identical
+	// to local lookups against the same table.
 	// The simulated engine ignores it. Like Extend, this field is runtime
 	// wiring, not serialized configuration.
 	SeedResolver SeedResolver
@@ -123,7 +125,9 @@ type SeedAnswer struct {
 // Implementations must fill out[i] for every seeds[i] (len(out) ==
 // len(seeds)) or return an error; a missing seed is out[i].OK == false, so
 // "unknown" is never silently conflated with "absent". The engine calls it
-// once per query with every seed the query will look up, in lookup order.
+// at most twice per work chunk of reads (a pool claim, or QuerySerial's
+// whole batch), each call carrying only seeds the engine will look up, in
+// lookup order; concurrent workers call it concurrently.
 type SeedResolver interface {
 	ResolveSeeds(ctx context.Context, seeds []kmer.Kmer, out []SeedAnswer) error
 }
@@ -279,7 +283,10 @@ type QueryStat struct {
 	Exact       bool  // resolved entirely by the exact-match fast path
 	SWCalls     int32 // Smith-Waterman invocations
 	SeedLookups int32 // seed-index lookups
-	Nanos       int64 // wall nanoseconds spent aligning this query
+	// Nanos is the wall time spent aligning this query: its own
+	// processing plus, with a SeedResolver, the resolve calls that carried
+	// its seeds (shared with the other reads of its work chunk).
+	Nanos int64
 }
 
 // Alignment is one reported query-to-target local alignment.

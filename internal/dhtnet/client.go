@@ -140,11 +140,12 @@ type Stats struct {
 }
 
 // Client resolves seed lookups against a fleet of seed-shard nodes. It
-// implements core.SeedResolver: the engine hands it every seed of a read in
-// lookup order, the client stages them per owning node, flushes through a
-// per-owner micro-batching queue (concurrent reads share round-trips), and
-// merges the answers back positionally. One Client serves any number of
-// concurrent queries; Close releases the queues.
+// implements core.SeedResolver: the engine hands it the seeds of a work
+// chunk of reads in lookup order (at most two calls per chunk), the client
+// stages them per owning node, flushes through a per-owner micro-batching
+// queue (concurrent workers share round-trips), and merges the answers back
+// positionally. One Client serves any number of concurrent queries; Close
+// releases the queues.
 type Client struct {
 	cfg    Config
 	owners []*ownerConn

@@ -29,7 +29,7 @@ func DHTNet(cfg Config) (*Report, error) {
 		Title: "network seed DHT: 3-node seed-shard fleet vs the local seed table (loopback HTTP)",
 		Paper: "post-paper experiment: §IV distributes the k-mer seed index across nodes and batches " +
 			"remote lookups through aggregated stores; here the seed table is hash-partitioned across " +
-			"merserved -seed-shard nodes and the engine's per-read lookups ride a coalescing RPC client",
+			"merserved -seed-shard nodes and the engine's lookups, aggregated per work chunk, ride a coalescing RPC client",
 		Headers: []string{"seed store", "reads/s", "lookups", "frames", "seeds/frame", "direct", "retries"},
 	}
 	ds, err := mkData(cfg.ecoliProfile())
